@@ -3,7 +3,8 @@
 
 Default mode prints a per-lane, per-phase breakdown of the span events: count, total and
 mean wall time, plus instant-event counts and network byte totals (a send span's `value`
-arg carries the encoded payload bytes).
+arg carries the encoded payload bytes). A TCP run's `tcp_flush` spans (one per gathered
+write) carry a frame count instead, summarized as frames per write.
 
 With --check the file is validated instead: it must parse, every event must carry the
 Chrome trace-event fields the viewers need, and every required lane (controller,
@@ -78,6 +79,7 @@ def summarize(doc, out=sys.stdout):
     spans = defaultdict(lambda: [0, 0.0])  # (lane, name) -> [count, total_us]
     instants = defaultdict(int)  # (lane, name) -> count
     net_bytes = defaultdict(int)  # name -> total payload bytes (span `value` arg)
+    flush_frames = 0  # frames gathered by tcp_flush spans
     tracks = defaultdict(set)  # lane -> set of tids
     for e in events:
         ph = e.get("ph")
@@ -89,7 +91,9 @@ def summarize(doc, out=sys.stdout):
         if ph == "X":
             spans[key][0] += 1
             spans[key][1] += float(e.get("dur", 0))
-            if lane == "network":
+            if lane == "network" and e.get("name") == "tcp_flush":
+                flush_frames += int(e.get("args", {}).get("value", 0))
+            elif lane == "network":
                 net_bytes[e.get("name", "?")] += int(e.get("args", {}).get("value", 0))
         elif ph == "i":
             instants[key] += 1
@@ -110,6 +114,11 @@ def summarize(doc, out=sys.stdout):
         print(f"\n{'network send':<26} {'bytes':>12}", file=out)
         for name, total in sorted(net_bytes.items()):
             print(f"{name:<26} {total:>12}", file=out)
+
+    flushes = spans.get(("network", "tcp_flush"), (0, 0.0))[0]
+    if flushes:
+        print(f"\ntcp gathered writes: {flushes}, frames: {flush_frames} "
+              f"({flush_frames / flushes:.1f} per write)", file=out)
 
     for lane in sorted(tracks):
         print(f"\n{lane}: {len(tracks[lane])} track(s)", file=out, end="")

@@ -42,7 +42,7 @@ enum class Lane : std::uint8_t {
   kController = 0,  // controller phases (validate / apply / assemble / lookahead)
   kPipeline,        // instantiation-engine executor jobs; track = shard id
   kWorker,          // worker decode / materialize / group-start; track = worker id
-  kNetwork,         // sends; track = MessageKind
+  kNetwork,         // sends; track = MessageKind (TCP gathered writes: 16 + node index)
 };
 inline constexpr std::size_t kLaneCount = 4;
 const char* LaneName(Lane lane);

@@ -2,15 +2,22 @@
 //
 // Stands in for the distributed file system the paper's deployment writes checkpoints to.
 // Writes deep-copy payloads; the write *time* is charged by the cost model at the call site.
+//
+// One store is shared by every worker. Under the TCP backend each worker writes and reads
+// it from its own event-loop thread, so every operation takes the store's mutex, and Read
+// hands back a private copy: a reference into the map would dangle across a concurrent
+// rehash or overwrite.
 
 #ifndef NIMBUS_SRC_DATA_DURABLE_STORE_H_
 #define NIMBUS_SRC_DATA_DURABLE_STORE_H_
 
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "src/common/ids.h"
 #include "src/common/logging.h"
+#include "src/common/thread_annotations.h"
 #include "src/data/payload.h"
 
 namespace nimbus {
@@ -23,26 +30,40 @@ class DurableStore {
   };
 
   void Write(LogicalObjectId object, Version version, const Payload& payload) {
+    std::unique_ptr<Payload> copy = payload.Clone();  // deep copy outside the lock
+    MutexLock lock(&mu_);
     Entry& e = entries_[object];
     e.version = version;
-    e.payload = payload.Clone();
+    e.payload = std::move(copy);
   }
 
-  bool Has(LogicalObjectId object) const { return entries_.count(object) > 0; }
+  bool Has(LogicalObjectId object) const {
+    MutexLock lock(&mu_);
+    return entries_.count(object) > 0;
+  }
 
-  const Entry& Read(LogicalObjectId object) const {
+  // The stored version and a clone of its payload.
+  Entry Read(LogicalObjectId object) const {
+    MutexLock lock(&mu_);
     auto it = entries_.find(object);
     NIMBUS_CHECK(it != entries_.end()) << "object not in durable store: " << object;
-    return it->second;
+    return Entry{it->second.version, it->second.payload->Clone()};
   }
 
-  std::size_t size() const { return entries_.size(); }
-  void Clear() { entries_.clear(); }
+  std::size_t size() const {
+    MutexLock lock(&mu_);
+    return entries_.size();
+  }
+  void Clear() {
+    MutexLock lock(&mu_);
+    entries_.clear();
+  }
 
  private:
+  mutable Mutex mu_;
   // lint:allow(hot-map) -- durable-store writes happen only on explicit checkpoint and
   // recovery reload, never in the steady-state iteration loop
-  std::unordered_map<LogicalObjectId, Entry> entries_;
+  std::unordered_map<LogicalObjectId, Entry> entries_ NIMBUS_GUARDED_BY(mu_);
 };
 
 }  // namespace nimbus

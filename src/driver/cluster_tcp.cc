@@ -19,6 +19,17 @@ net::NodeAddress AddressOfDense(std::size_t dense) {
   return net::NodeAddress::ForWorker(WorkerId(static_cast<std::uint64_t>(dense - 2)));
 }
 
+// Runs the node's virtual-time queue dry: work the delivery scheduled (command execution,
+// data sends, completions) happens now, before the next delivery. Between events the
+// endpoint releases frames its cork has held past the hold bound, so a long drain does not
+// sit on the sends it made early on.
+void DrainSimulation(sim::Simulation* simulation, net::TcpEndpoint* endpoint) {
+  simulation->RunUntilCondition([endpoint] {
+    endpoint->FlushHeldIfDue();
+    return false;
+  });
+}
+
 }  // namespace
 
 // TimerQueue facade over the node endpoint's wheel: callbacks get the same wrapping as
@@ -34,7 +45,7 @@ class TcpClusterRuntime::NodeTimerQueue final : public net::TimerQueue {
       {
         std::lock_guard<std::mutex> lock(node_->mutex);
         fn();
-        node_->simulation->RunUntilCondition([] { return false; });
+        DrainSimulation(node_->simulation.get(), node_->endpoint.get());
       }
       if (is_driver_) {
         runtime_->driver_cv_.notify_all();
@@ -93,9 +104,7 @@ void TcpClusterRuntime::InstallHandler(net::NodeAddress address,
         {
           std::lock_guard<std::mutex> lock(n->mutex);
           handler(src, kind, std::move(bytes));
-          // Run the node's virtual-time queue dry: work the delivery scheduled (command
-          // execution, data sends, completions) happens now, before the next delivery.
-          n->simulation->RunUntilCondition([] { return false; });
+          DrainSimulation(n->simulation.get(), n->endpoint.get());
         }
         if (is_driver) {
           driver_cv_.notify_all();
@@ -109,7 +118,7 @@ void TcpClusterRuntime::InstallPeerLossHandler(net::NodeAddress address,
   n->endpoint->SetPeerLossHandler([n, fn = std::move(fn)](net::NodeAddress peer) {
     std::lock_guard<std::mutex> lock(n->mutex);
     fn(peer);
-    n->simulation->RunUntilCondition([] { return false; });
+    DrainSimulation(n->simulation.get(), n->endpoint.get());
   });
 }
 
@@ -141,7 +150,7 @@ void TcpClusterRuntime::WithNode(net::NodeAddress address, const std::function<v
   Node* n = node(address);
   std::lock_guard<std::mutex> lock(n->mutex);
   fn();
-  n->simulation->RunUntilCondition([] { return false; });
+  DrainSimulation(n->simulation.get(), n->endpoint.get());
 }
 
 bool TcpClusterRuntime::AwaitDriver(const std::function<bool()>& pred) {

@@ -10,8 +10,10 @@
 //
 // Delivery path: the endpoint's event-loop thread invokes the wrapped handler, which takes
 // the node mutex, runs the node's OnEnvelope, then drains the node's simulation queue —
-// any sends triggered along the way go straight out through the endpoints (they take only
-// leaf per-connection mutexes, so no lock-order cycles are possible).
+// any sends triggered along the way go out through the endpoint's send cork (the first
+// few at once, the rest gathered; the drain releases held frames past the hold bound
+// between events). Sends take only leaf per-connection mutexes, so no lock-order cycles
+// are possible.
 //
 // The driver node doubles as a mailbox: its handler signals a condition variable, and
 // AwaitDriver blocks on it, evaluating the predicate under the driver mutex — the same

@@ -12,11 +12,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <ctime>
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/tracing.h"
 
 namespace nimbus::net {
 
@@ -35,6 +37,30 @@ constexpr std::uint32_t kMaxFramePayload = 1u << 30;
 // sever heals before the heartbeat path escalates.
 constexpr int kMaxRedialAttempts = 4;
 constexpr sim::Duration kRedialBackoffBase = sim::Millis(20);
+
+// Send coalescing (header comment). The values come from alternating 10 s e2e_bench
+// runs on a 4-vCPU host:
+//  * A delivery's first frames are its critical path: a block's dispatch, a worker's
+//    group-start reply. Holding even the second frame a worker sends inside its ~600 us
+//    StartGroup event cost lr-templates 6-10%, so the first eight leave at once.
+//  * The hold bound caps what a held frame adds to a delivery: 50 us gathers ~40
+//    partial-gradient frames per write on lr-migrate (up to ~160) and stays far below a
+//    block's time.
+//  * 64 KiB is one loopback segment (the lo MTU). Past it a gathered write saves no
+//    further syscalls per byte, and holding more only keeps built frames alive: the load
+//    phase sends tens of thousands of frames from a single delivery.
+constexpr int kEagerFramesPerDelivery = 8;
+constexpr sim::Duration kHoldBound = sim::Micros(50);
+constexpr std::size_t kHeldByteCap = 64 * 1024;
+
+// Spans for gathered writes ride the network lane on per-sending-node tracks above the
+// MessageKind tracks the simulated sends use.
+constexpr std::uint32_t kFlushTrackBase = 16;
+
+// The endpoint whose delivery this thread is running, or nullptr. Set only by an event
+// loop around its own deliveries, so every other thread (driver, WithNode, bootstrap)
+// sees nullptr and sends eagerly.
+thread_local const TcpEndpoint* t_delivering = nullptr;
 
 // A read/write errno that means the connection is gone (vs a programming error).
 bool IsConnectionLossErrno(int err) {
@@ -293,18 +319,68 @@ void TcpEndpoint::Send(NodeAddress src, NodeAddress dst, MessageKind kind,
   }
   std::vector<std::uint8_t> frame =
       BuildFrame(static_cast<std::uint8_t>(kind), src, dst, bytes);
+  const std::size_t frame_bytes = frame.size();
   Connection* conn = ConnectionTo(dst);
-  std::lock_guard<std::mutex> lock(conn->send_mutex);
+  const bool hold = t_delivering == this && ++delivery_frames_ > kEagerFramesPerDelivery;
   {
-    std::lock_guard<std::mutex> clock(counter_mutex_);
-    counters_.queued_bytes += frame.size();
-    counters_.peak_queued_bytes =
-        std::max(counters_.peak_queued_bytes, counters_.queued_bytes);
+    std::lock_guard<std::mutex> lock(conn->send_mutex);
+    {
+      std::lock_guard<std::mutex> clock(counter_mutex_);
+      counters_.queued_bytes += frame_bytes;
+      counters_.peak_queued_bytes =
+          std::max(counters_.peak_queued_bytes, counters_.queued_bytes);
+      counters_.frames_held += hold ? 1 : 0;
+    }
+    conn->send_queue.push_back(std::move(frame));
+    if (!hold) {
+      // Eager flush on the sending thread; a stalled socket leaves the tail queued and
+      // arms EPOLLOUT so the event loop finishes the job (backpressure path).
+      FlushLocked(conn);
+      return;
+    }
   }
-  conn->send_queue.push_back(std::move(frame));
-  // Eager flush on the sending thread; a stalled socket leaves the tail queued and arms
-  // EPOLLOUT so the event loop finishes the job (backpressure path).
-  FlushLocked(conn);
+  // Held: the frame waits in the queue for the cork to release it (header comment).
+  // Frames leave in the order they were sent across connections too, so a frame for
+  // another peer first releases what is held for the previous one: a peer that hears
+  // "done" has then been sent everything issued before it, exactly as without the cork.
+  if (corked_ != conn) {
+    FlushHeld();
+    corked_ = conn;
+  }
+  if (held_bytes_ == 0) {
+    oldest_held_ns_ = NowNanos();
+  }
+  held_bytes_ += frame_bytes;
+  if (held_bytes_ >= kHeldByteCap) {
+    FlushHeld();
+  }
+}
+
+void TcpEndpoint::FlushHeldIfDue() {
+  if (t_delivering != this || held_bytes_ == 0) {
+    return;
+  }
+  if (NowNanos() - oldest_held_ns_ >= kHoldBound) {
+    FlushHeld();
+  }
+}
+
+template <typename Fn>
+void TcpEndpoint::Deliver(Fn&& fn) {
+  t_delivering = this;
+  delivery_frames_ = 0;
+  fn();
+  t_delivering = nullptr;
+  FlushHeld();
+}
+
+void TcpEndpoint::FlushHeld() {
+  if (corked_ != nullptr) {
+    std::lock_guard<std::mutex> lock(corked_->send_mutex);
+    FlushLocked(corked_);
+    corked_ = nullptr;
+  }
+  held_bytes_ = 0;
 }
 
 void TcpEndpoint::FlushLocked(Connection* conn) {
@@ -312,13 +388,14 @@ void TcpEndpoint::FlushLocked(Connection* conn) {
     return;  // connection down: frames stay queued and resend after redial/re-accept
   }
   while (!conn->send_queue.empty()) {
-    // Gather up to 16 queued frames into one writev (the struct-batched and per-task
-    // dispatch modes queue many small frames back to back).
-    iovec iov[16];
+    // Gather up to IOV_MAX queued frames into one write (a released cork and the
+    // per-task dispatch mode queue many small frames back to back). sendmsg rather than
+    // writev only for MSG_NOSIGNAL: a severed peer must surface as EPIPE, not SIGPIPE.
+    iovec iov[IOV_MAX];
     int iovcnt = 0;
     std::size_t offset = conn->send_offset;
     for (const auto& buf : conn->send_queue) {
-      if (iovcnt == 16) {
+      if (iovcnt == IOV_MAX) {
         break;
       }
       iov[iovcnt].iov_base = const_cast<std::uint8_t*>(buf.data()) + offset;
@@ -326,7 +403,16 @@ void TcpEndpoint::FlushLocked(Connection* conn) {
       ++iovcnt;
       offset = 0;
     }
-    const ssize_t written = ::writev(conn->fd, iov, iovcnt);
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
+    ssize_t written = 0;
+    {
+      NIMBUS_TRACE_SPAN_V(trace::Lane::kNetwork,
+                          kFlushTrackBase + static_cast<std::uint32_t>(self_.DenseIndex()),
+                          "tcp_flush", iovcnt);
+      written = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
+    }
     {
       std::lock_guard<std::mutex> clock(counter_mutex_);
       ++counters_.writev_calls;
@@ -334,7 +420,7 @@ void TcpEndpoint::FlushLocked(Connection* conn) {
     if (written < 0) {
       if (errno != EAGAIN && errno != EWOULDBLOCK) {
         NIMBUS_CHECK(IsConnectionLossErrno(errno))
-            << "writev to " << conn->peer << ": " << std::strerror(errno);
+            << "sendmsg to " << conn->peer << ": " << std::strerror(errno);
         // The peer is gone. Leave the backlog queued; the event loop observes the errored
         // socket (EPOLLERR/EPOLLHUP) and runs the loss path, which may be mid-flight on
         // another thread right now — senders never tear sockets down themselves.
@@ -596,7 +682,7 @@ void TcpEndpoint::FireTimers() {
   }
   // Outside the lock: callbacks routinely schedule follow-up timers.
   for (auto& fn : due) {
-    fn();
+    Deliver(fn);
   }
 }
 
@@ -680,7 +766,9 @@ void TcpEndpoint::DrainFrames(Connection* conn) {
       ++counters_.frames_received;
     }
     NIMBUS_CHECK(handler_) << "no delivery handler registered for " << self_;
-    handler_(NodeAddress(src), static_cast<MessageKind>(kind), std::move(payload));
+    Deliver([&]() {
+      handler_(NodeAddress(src), static_cast<MessageKind>(kind), std::move(payload));
+    });
   }
   if (cursor > 0) {
     rb.erase(rb.begin(), rb.begin() + static_cast<std::ptrdiff_t>(cursor));

@@ -12,11 +12,21 @@
 //   u32 payload_len   u8 kind (MessageKind; 0xFF = bootstrap hello)   i64 src   i64 dst
 //   u8[payload_len] envelope bytes
 //
-// Sends append to a per-connection queue under its mutex and flush with writev — first
-// eagerly on the calling thread, then from the event loop under EPOLLOUT when a flush
-// stalls (backpressure). Counters record queue depth, partial writes, and per-kind frame
-// traffic. Delivery invokes the registered handler on the event-loop thread; the cluster
-// wraps handlers with per-node serialization.
+// Sends append to a per-connection queue under its mutex and flush with one gathered
+// write (up to IOV_MAX frames) — on the calling thread, then from the event loop under
+// EPOLLOUT when a flush stalls (backpressure). Counters record queue depth, partial
+// writes, and per-kind frame traffic. Delivery invokes the registered handler on the
+// event-loop thread; the cluster wraps handlers with per-node serialization.
+//
+// Send coalescing (the cork): a delivery is one handler call or timer callback, which
+// under the cluster includes the drain of the node's simulation. The first few frames a
+// delivery sends are written at once; later ones wait on their connection and leave
+// together — when the oldest has waited the hold bound (checked between simulation
+// events via FlushHeldIfDue), when the held bytes reach one loopback segment, when
+// the delivery sends to another peer, and at the end of the delivery. Frames only wait,
+// never reorder, not even across connections: one connection holds at a time.
+// Sends from any other thread (driver, WithNode, bootstrap) stay eager, and the cork
+// state is touched only by the endpoint's own event-loop thread.
 //
 // Failure handling (DESIGN.md §14): a timerfd drives the endpoint's TimerWheel inside the
 // same epoll loop, so heartbeat/suspicion timers fire on the delivery thread. Connection
@@ -93,12 +103,18 @@ class TcpEndpoint final : public Transport {
   void Send(NodeAddress src, NodeAddress dst, MessageKind kind, ParameterBlob bytes,
             std::int64_t cost_bytes) override;
 
+  // Releases the frames the current delivery holds once the oldest has waited the hold
+  // bound. The cluster calls it between the simulation events of a delivery's drain; on
+  // any thread but this endpoint's event loop mid-delivery it does nothing.
+  void FlushHeldIfDue();
+
   // ---- Backpressure / traffic counters ----
   struct Counters {
     std::uint64_t frames_sent = 0;
     std::uint64_t frames_received = 0;
     std::uint64_t payload_bytes_sent = 0;
-    std::uint64_t writev_calls = 0;
+    std::uint64_t writev_calls = 0;    // gathered writes (sendmsg) issued
+    std::uint64_t frames_held = 0;     // frames that waited in the cork before leaving
     std::uint64_t partial_writes = 0;  // flushes that left queued bytes behind
     std::uint64_t peak_queued_bytes = 0;
     std::uint64_t queued_bytes = 0;  // currently waiting behind the socket
@@ -133,9 +149,15 @@ class TcpEndpoint final : public Transport {
 
   Connection* ConnectionTo(NodeAddress peer) const;
   Connection* AdoptSocket(int fd, NodeAddress peer);
-  // Flushes `conn`'s queue with writev; arms/disarms EPOLLOUT as needed. Requires
-  // `conn->send_mutex`.
+  // Flushes `conn`'s queue with gathered writes; arms/disarms EPOLLOUT as needed.
+  // Requires `conn->send_mutex`.
   void FlushLocked(Connection* conn);
+  // Event-loop thread: runs `fn` as one delivery (the cork is open while it runs), then
+  // flushes whatever it held.
+  template <typename Fn>
+  void Deliver(Fn&& fn);
+  // Event-loop thread: flushes the corked connection and empties the cork.
+  void FlushHeld();
   void UpdateEpoll(Connection* conn, bool want_write);
   void EventLoop();
   void ReadReady(Connection* conn);
@@ -165,6 +187,12 @@ class TcpEndpoint final : public Transport {
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   std::atomic<bool> draining_{false};  // orderly teardown: peer closes are not failures
+
+  // Cork state (event-loop thread only; see the file comment).
+  int delivery_frames_ = 0;              // frames the current delivery has sent
+  Connection* corked_ = nullptr;         // the one connection with held frames
+  std::size_t held_bytes_ = 0;           // bytes held on `corked_`
+  sim::TimePoint oldest_held_ns_ = 0;    // NowNanos() when the first held frame queued
 
   std::mutex timer_mutex_;
   TimerWheel wheel_;

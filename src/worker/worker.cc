@@ -1,6 +1,7 @@
 #include "src/worker/worker.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "src/common/tracing.h"
 
@@ -653,18 +654,18 @@ void Worker::Launch(Group& group, std::int32_t index) {
     case CommandType::kFileLoad: {
       NIMBUS_CHECK(durable_->Has(rc.cmd.data_object))
           << "recovery: object " << rc.cmd.data_object << " missing from durable store";
-      const DurableStore::Entry& entry = durable_->Read(rc.cmd.data_object);
-      const sim::Duration cost = costs_->CheckpointWriteTime(entry.payload->ByteSize());
+      // One copy out of the shared store; the deferred load installs it.
+      auto entry = std::make_shared<DurableStore::Entry>(durable_->Read(rc.cmd.data_object));
+      const sim::Duration cost = costs_->CheckpointWriteTime(entry->payload->ByteSize());
       const std::uint64_t seq = group.seq;
-      cores_.Submit(cost, [this, seq, index]() {
+      cores_.Submit(cost, [this, seq, index, entry]() {
         control_phase_.Assert();  // deferred onto the serial control phase
         Group* g = FindGroup(seq);
         if (g == nullptr) {
           return;
         }
         RuntimeCommand& cmd = g->commands[static_cast<std::size_t>(index)];
-        const DurableStore::Entry& e = durable_->Read(cmd.cmd.data_object);
-        store_.Put(cmd.cmd.data_object, e.version, e.payload->Clone());
+        store_.Put(cmd.cmd.data_object, entry->version, std::move(entry->payload));
         CompleteCommand(seq, index);
       });
       break;
