@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/apps/logistic_regression.h"
 #include "src/driver/cluster.h"
 #include "src/driver/job.h"
@@ -24,6 +26,10 @@ LogisticRegressionApp::Config SmallConfig(int partitions, int groups) {
 
 struct ModeCase {
   ControlMode mode;
+  // gtest lists each case with a byte dump of its parameter. Left as compiler padding,
+  // these four bytes held stack garbage and the listed test names changed from run to
+  // run; an explicit zero field keeps them fixed.
+  std::int32_t reserved;
   const char* name;
 };
 
@@ -93,9 +99,9 @@ TEST_P(LrEndToEndTest, NestedLoopRunsDataDependentBranches) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, LrEndToEndTest,
-    ::testing::Values(ModeCase{ControlMode::kTemplates, "templates"},
-                      ModeCase{ControlMode::kCentralOnly, "central"},
-                      ModeCase{ControlMode::kStaticDataflow, "dataflow"}),
+    ::testing::Values(ModeCase{ControlMode::kTemplates, 0, "templates"},
+                      ModeCase{ControlMode::kCentralOnly, 0, "central"},
+                      ModeCase{ControlMode::kStaticDataflow, 0, "dataflow"}),
     [](const ::testing::TestParamInfo<ModeCase>& param_info) {
       return param_info.param.name;
     });
