@@ -291,13 +291,16 @@ struct FailureCounters : detail::ClearableCounters<FailureCounters> {
 // Worker-side materialization accounting (DESIGN.md §9.3): per-worker totals, folded per
 // instantiation group the worker materializes through its executor. `dense_resolves`
 // counts entries whose read/write sets had to be (re)resolved to store-dense indices (the
-// serial intern pre-pass: first touch or post-edit); steady state is zero per group.
+// serial intern pass when a table compiles: install, or the slots an edit touched);
+// steady state is zero per group.
 struct MaterializeCounters : detail::ClearableCounters<MaterializeCounters> {
   std::uint64_t groups = 0;         // instantiation groups materialized
   std::uint64_t entries = 0;        // template entries turned into runtime commands
-  std::uint64_t dense_resolves = 0;  // entries resolved in the serial intern pre-pass
-  std::uint64_t build_chunks = 0;   // executor jobs across command-build batches
+  std::uint64_t dense_resolves = 0;  // entries resolved in the serial intern pass
+  std::uint64_t build_chunks = 0;   // executor jobs across per-entry instantiation batches
   std::uint64_t launch_scans = 0;   // group-start eligibility scans run as batches
+  std::uint64_t table_compiles = 0;  // runnable tables compiled (install or edit batch)
+  std::uint64_t state_reuses = 0;    // instantiations that reused a retired group's state
 
   static constexpr const char* kGroupName = "materialize";
   template <typename V>
@@ -307,6 +310,8 @@ struct MaterializeCounters : detail::ClearableCounters<MaterializeCounters> {
     visit("dense_resolves", dense_resolves);
     visit("build_chunks", build_chunks);
     visit("launch_scans", launch_scans);
+    visit("table_compiles", table_compiles);
+    visit("state_reuses", state_reuses);
   }
 };
 

@@ -152,9 +152,17 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
+  // Replaces the span's value before it is recorded (a count known only at scope exit).
+  void set_value(std::int64_t value) { event_.value = value; }
+
  private:
   bool active_;
   Event event_;
+};
+
+// What NIMBUS_TRACE_SPAN_NAMED declares when tracing is compiled out.
+struct NullSpan {
+  void set_value(std::int64_t) {}
 };
 
 namespace internal {
@@ -180,6 +188,7 @@ inline void RecordPoint(EventType type, Lane lane, std::uint32_t track, const ch
 
 #define NIMBUS_TRACE_SPAN(lane, track, name) ((void)0)
 #define NIMBUS_TRACE_SPAN_V(lane, track, name, value) ((void)0)
+#define NIMBUS_TRACE_SPAN_NAMED(var, lane, track, name) ::nimbus::trace::NullSpan var
 #define NIMBUS_TRACE_INSTANT(lane, track, name, value) ((void)0)
 #define NIMBUS_TRACE_COUNTER(lane, track, name, value) ((void)0)
 
@@ -194,6 +203,9 @@ inline void RecordPoint(EventType type, Lane lane, std::uint32_t track, const ch
 #define NIMBUS_TRACE_SPAN_V(lane, track, name, value) \
   ::nimbus::trace::ScopedSpan NIMBUS_TRACE_CAT(nimbus_trace_span_, __LINE__)( \
       (lane), (track), (name), (value))
+// A span the scope can still reach by name, e.g. to set its value at exit.
+#define NIMBUS_TRACE_SPAN_NAMED(var, lane, track, name) \
+  ::nimbus::trace::ScopedSpan var((lane), (track), (name))
 #define NIMBUS_TRACE_INSTANT(lane, track, name, value)                                   \
   do {                                                                                   \
     if (::nimbus::trace::Tracer::enabled()) {                                            \

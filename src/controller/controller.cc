@@ -633,14 +633,14 @@ void NimbusController::DispatchSetCentrally(
       control_thread_.Submit(per_task, [this, dst = worker->address(),
                                         cmd = std::move(cmd), seq, total, final,
                                         wire]() mutable {
-        wire::CommandsEnvelope e;
-        e.group_seq = seq;
-        e.expected_total = total;
-        e.finalize = final;
-        e.barrier = true;
-        e.commands.push_back(std::move(cmd));
+        wire::CommandsEnvelope envelope;
+        envelope.group_seq = seq;
+        envelope.expected_total = total;
+        envelope.finalize = final;
+        envelope.barrier = true;
+        envelope.commands.push_back(std::move(cmd));
         transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kCommand,
-                         wire::EncodeCommandsEnvelope(e), wire);
+                         wire::EncodeCommandsEnvelope(envelope), wire);
       });
     }
   }

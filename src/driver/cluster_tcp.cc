@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/tracing.h"
 
 namespace nimbus {
 
@@ -19,15 +20,30 @@ net::NodeAddress AddressOfDense(std::size_t dense) {
   return net::NodeAddress::ForWorker(WorkerId(static_cast<std::uint64_t>(dense - 2)));
 }
 
-// Runs the node's virtual-time queue dry: work the delivery scheduled (command execution,
-// data sends, completions) happens now, before the next delivery. Between events the
-// endpoint releases frames its cork has held past the hold bound, so a long drain does not
-// sit on the sends it made early on.
-void DrainSimulation(sim::Simulation* simulation, net::TcpEndpoint* endpoint) {
+void RunDry(sim::Simulation* simulation, net::TcpEndpoint* endpoint) {
   simulation->RunUntilCondition([endpoint] {
     endpoint->FlushHeldIfDue();
     return false;
   });
+}
+
+// Runs the node's virtual-time queue dry: work the delivery scheduled (command execution,
+// data sends, completions) happens now, before the next delivery. Between events the
+// endpoint releases frames its cork has held past the hold bound, so a long drain does not
+// sit on the sends it made early on. On a worker node the drain is one `drain` span on the
+// worker's track (DESIGN.md §12.3), valued with the number of events it ran: that is
+// where the worker executes its tasks.
+void DrainSimulation(sim::Simulation* simulation, net::TcpEndpoint* endpoint) {
+  const net::NodeAddress self = endpoint->self();
+  if (!self.is_worker()) {
+    RunDry(simulation, endpoint);
+    return;
+  }
+  NIMBUS_TRACE_SPAN_NAMED(drain, trace::Lane::kWorker,
+                          static_cast<std::uint32_t>(self.worker_id().value()), "drain");
+  const std::uint64_t before = simulation->executed_events();
+  RunDry(simulation, endpoint);
+  drain.set_value(static_cast<std::int64_t>(simulation->executed_events() - before));
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ struct CostModel {
   Duration lookahead_consume_per_task = Micros(0.5);
   // Worker-side parallel materialization (DESIGN.md §9.3): with a parallel executor the
   // per-entry materialization charge divides by min(executor lanes, worker_cores) scaled
-  // by this efficiency (chunked command builds do not parallelize perfectly). An inline
+  // by this efficiency (chunked per-entry passes do not parallelize perfectly). An inline
   // executor models one lane, so the default charge is unchanged.
   double worker_materialize_efficiency = 0.85;
 

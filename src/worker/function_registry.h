@@ -26,19 +26,25 @@ namespace nimbus {
 
 class TaskContext {
  public:
-  // `reads` and `writes` are the command's read/write sets already resolved to the store's
-  // dense indices (the sparse→dense boundary is the command table, not task execution);
-  // they must outlive the context. Every accessor below is a flat array probe.
-  TaskContext(ObjectStore* store, const std::vector<DenseIndex>* reads,
-              const std::vector<DenseIndex>* writes, const ParameterBlob* params)
-      : store_(store), reads_(reads), writes_(writes), params_(params) {}
+  // `reads` and `writes` view the command's read/write sets already resolved to the
+  // store's dense indices (the sparse→dense boundary is the worker's compiled table, not
+  // task execution); the arrays must outlive the context. Every accessor below is a flat
+  // array probe.
+  TaskContext(ObjectStore* store, const DenseIndex* reads, std::size_t read_count,
+              const DenseIndex* writes, std::size_t write_count, const ParameterBlob* params)
+      : store_(store),
+        reads_(reads),
+        read_count_(read_count),
+        writes_(writes),
+        write_count_(write_count),
+        params_(params) {}
 
-  std::size_t read_count() const { return reads_->size(); }
-  std::size_t write_count() const { return writes_->size(); }
+  std::size_t read_count() const { return read_count_; }
+  std::size_t write_count() const { return write_count_; }
 
   const Payload& read(std::size_t i) const {
-    NIMBUS_CHECK_LT(i, reads_->size());
-    return *store_->GetDense((*reads_)[i]);
+    NIMBUS_CHECK_LT(i, read_count_);
+    return *store_->GetDense(reads_[i]);
   }
 
   // Typed read helpers.
@@ -102,8 +108,8 @@ class TaskContext {
  private:
   template <typename Factory>
   Payload* EnsureWrite(std::size_t i, Factory factory) {
-    NIMBUS_CHECK_LT(i, writes_->size());
-    const DenseIndex object = (*writes_)[i];
+    NIMBUS_CHECK_LT(i, write_count_);
+    const DenseIndex object = writes_[i];
     if (!store_->HasDense(object)) {
       store_->PutDense(object, 0, factory());
     }
@@ -111,8 +117,10 @@ class TaskContext {
   }
 
   ObjectStore* store_;
-  const std::vector<DenseIndex>* reads_;
-  const std::vector<DenseIndex>* writes_;
+  const DenseIndex* reads_;
+  std::size_t read_count_;
+  const DenseIndex* writes_;
+  std::size_t write_count_;
   const ParameterBlob* params_;
   double scalar_ = 0.0;
   bool has_scalar_ = false;

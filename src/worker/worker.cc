@@ -12,6 +12,17 @@ namespace {
 inline std::uint32_t TraceTrack(WorkerId id) {
   return static_cast<std::uint32_t>(id.value());
 }
+
+// A deferred per-command event names its command by (group seq, row) packed into one
+// word with the structured copy id's layout (command.h); tables and streaming groups cap
+// their rows at the index field.
+inline std::uint64_t CommandKey(std::uint64_t seq, std::int32_t row) {
+  return (seq << kCopyIndexBits) | static_cast<std::uint64_t>(row);
+}
+inline std::uint64_t KeySeq(std::uint64_t key) { return key >> kCopyIndexBits; }
+inline std::int32_t KeyRow(std::uint64_t key) {
+  return static_cast<std::int32_t>(key & ((std::uint64_t{1} << kCopyIndexBits) - 1));
+}
 }  // namespace
 
 Worker::Worker(WorkerId id, sim::Simulation* simulation, net::Transport* transport,
@@ -123,22 +134,27 @@ Worker::Group& Worker::GetOrCreateGroup(std::uint64_t seq, bool barrier) {
 
 Worker::CopySlot& Worker::EnsureCopySlot(Group& group, std::int32_t copy_index) {
   NIMBUS_CHECK_GE(copy_index, 0);
-  if (static_cast<std::size_t>(copy_index) >= group.copy_slots.size()) {
-    group.copy_slots.resize(static_cast<std::size_t>(copy_index) + 1);
+  std::vector<CopySlot>& slots = group.state->copy_slots;
+  if (static_cast<std::size_t>(copy_index) >= slots.size()) {
+    slots.resize(static_cast<std::size_t>(copy_index) + 1);
   }
-  return group.copy_slots[static_cast<std::size_t>(copy_index)];
+  return slots[static_cast<std::size_t>(copy_index)];
 }
 
 void Worker::BindReceiveSlot(Group& group, std::int32_t index) {
-  RuntimeCommand& rc = group.commands[static_cast<std::size_t>(index)];
-  NIMBUS_CHECK_EQ(CopyGroupSeq(rc.cmd.copy_id), group.seq)
-      << "copy id " << rc.cmd.copy_id << " does not encode its group";
-  CopySlot& slot = EnsureCopySlot(group, CopyLocalIndex(rc.cmd.copy_id));
-  NIMBUS_CHECK_LT(slot.command, 0) << "duplicate receive for copy " << rc.cmd.copy_id;
+  const std::int32_t copy_index =
+      group.table->rows[static_cast<std::size_t>(index)].copy_index;
+  CopySlot& slot = EnsureCopySlot(group, copy_index);
+  NIMBUS_CHECK_LT(slot.command, 0)
+      << "duplicate receive for copy " << MakeCopyId(group.seq, copy_index);
   slot.command = index;
   // Claim a payload that arrived before this group existed.
+  if (early_data_.empty()) {
+    return;
+  }
+  const CopyId copy = MakeCopyId(group.seq, copy_index);
   for (auto it = early_data_.begin(); it != early_data_.end(); ++it) {
-    if (it->copy == rc.cmd.copy_id) {
+    if (it->copy == copy) {
       slot.has_data = true;
       slot.object = it->object;
       slot.version = it->version;
@@ -146,26 +162,6 @@ void Worker::BindReceiveSlot(Group& group, std::int32_t index) {
       early_data_.erase(it);
       break;
     }
-  }
-}
-
-void Worker::ResolveTaskObjects(RuntimeCommand& rc) {
-  switch (rc.cmd.type) {
-    case CommandType::kTask:
-      rc.reads_dense.reserve(rc.cmd.read_set.size());
-      for (LogicalObjectId r : rc.cmd.read_set) {
-        rc.reads_dense.push_back(store_.Intern(r));
-      }
-      rc.writes_dense.reserve(rc.cmd.write_set.size());
-      for (LogicalObjectId w : rc.cmd.write_set) {
-        rc.writes_dense.push_back(store_.Intern(w));
-      }
-      break;
-    case CommandType::kCopySend:
-      rc.object_dense = store_.Intern(rc.cmd.copy_object);
-      break;
-    default:
-      break;
   }
 }
 
@@ -195,9 +191,12 @@ void Worker::OnSerializedCommands(std::uint64_t group_seq, ParameterBlob bytes,
   if (group_seq <= stale_seq_floor_) {
     return;
   }
-  NIMBUS_TRACE_SPAN_V(trace::Lane::kWorker, TraceTrack(id_), "decode",
-                      static_cast<std::int64_t>(bytes.size()));
-  wire::DecodedBatch batch = wire::DecodeBatch(bytes);
+  wire::DecodedBatch batch;
+  {
+    NIMBUS_TRACE_SPAN_V(trace::Lane::kWorker, TraceTrack(id_), "decode",
+                        static_cast<std::int64_t>(bytes.size()));
+    batch = wire::DecodeBatch(bytes);
+  }
   NIMBUS_CHECK_EQ(batch.header.group_seq, group_seq)
       << "serialized batch addressed to a different group";
   const sim::Duration charge = costs_->serialized_decode_per_task *
@@ -208,14 +207,25 @@ void Worker::OnSerializedCommands(std::uint64_t group_seq, ParameterBlob bytes,
 
 void Worker::IngestCommands(std::uint64_t group_seq, std::vector<Command> commands,
                             std::size_t expected_total, bool finalize, bool barrier) {
+  NIMBUS_TRACE_SPAN_V(trace::Lane::kWorker, TraceTrack(id_), "ingest",
+                      static_cast<std::int64_t>(commands.size()));
   if (command_log_enabled_) {
     command_log_.insert(command_log_.end(), commands.begin(), commands.end());
   }
 
   Group& group = GetOrCreateGroup(group_seq, barrier);
-  group.streaming = true;
-  for (Command& cmd : commands) {
-    AddCommandToGroup(group, std::move(cmd));
+  if (group.streaming == nullptr) {
+    NIMBUS_CHECK(group.table == nullptr)
+        << "streamed commands for instantiated group " << group_seq;
+    group.streaming = std::make_unique<StreamingState>();
+    group.streaming->table = std::make_shared<RunnableTable>();
+    group.table = group.streaming->table;
+    group.state = std::make_unique<GroupState>();
+  }
+  StreamingState& s = *group.streaming;
+  s.batches.push_back(std::move(commands));
+  for (const Command& cmd : s.batches.back()) {
+    AddCommandToGroup(group, cmd);
   }
   if (finalize) {
     group.finalized = true;
@@ -223,6 +233,120 @@ void Worker::IngestCommands(std::uint64_t group_seq, std::vector<Command> comman
   }
   MaybeStartGroups();
   FinishGroupIfDone(group_seq);
+}
+
+void Worker::CompileTable(RunnableTable& table, const RunnableTable* previous,
+                          const std::vector<core::WorkerEditOp>& edits) {
+  const std::vector<core::WtEntry>& entries = table.half.entries;
+  const std::size_t n = entries.size();
+  NIMBUS_CHECK_LT(n, std::size_t{1} << kCopyIndexBits) << "worker half exceeds the row field";
+  ++materialize_counters_.table_compiles;
+
+  // Before edges inverted into CSR waiter lists, filled in ascending dependent order: a
+  // list's order is the order a completion launches its waiters in, and with it the
+  // simulator's event order. Dead slots keep their edges: ordering is index-stable.
+  table.waiter_begin.assign(n + 1, 0);
+  table.initial_remaining.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::int32_t b : entries[i].before) {
+      NIMBUS_CHECK_GE(b, 0);
+      NIMBUS_CHECK_LT(static_cast<std::size_t>(b), n);
+      if (static_cast<std::size_t>(b) != i) {
+        ++table.waiter_begin[static_cast<std::size_t>(b) + 1];
+        ++table.initial_remaining[i];
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    table.waiter_begin[i + 1] += table.waiter_begin[i];
+  }
+  table.waiters.resize(table.waiter_begin[n]);
+  std::vector<std::uint32_t> cursor(table.waiter_begin.begin(), table.waiter_begin.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::int32_t b : entries[i].before) {
+      if (static_cast<std::size_t>(b) != i) {
+        table.waiters[cursor[static_cast<std::size_t>(b)]++] = static_cast<std::int32_t>(i);
+      }
+    }
+  }
+
+  // Slots an edit replaced carry new objects; every other slot the previous table resolved
+  // keeps its dense sets, so an edit batch interns only what it touched. Interning mutates
+  // the store's id space, which is why this pass is serial and lives here, not in the
+  // per-instantiation executor batch.
+  std::vector<std::uint8_t> replaced(n, 0);
+  for (const core::WorkerEditOp& op : edits) {
+    if (op.kind == core::WorkerEditOp::Kind::kReplaceWithReceive &&
+        static_cast<std::size_t>(op.index) < n) {
+      replaced[static_cast<std::size_t>(op.index)] = 1;
+    }
+  }
+  table.rows.assign(n, RunnableTable::Row{});
+  table.objects.clear();
+  table.cached_params.assign(n, nullptr);
+  table.task_rows.clear();
+  table.receives.clear();
+  table.copy_slot_count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const core::WtEntry& e = entries[i];
+    RunnableTable::Row& row = table.rows[i];
+    row.sets = static_cast<std::uint32_t>(table.objects.size());
+    if (e.dead) {
+      continue;  // a no-op create preserving the index
+    }
+    row.type = e.type;
+    row.read_count = static_cast<std::uint32_t>(e.reads.size());
+    row.write_count = static_cast<std::uint32_t>(e.writes.size());
+    const RunnableTable::Row* old =
+        previous != nullptr && i < previous->rows.size() && replaced[i] == 0
+            ? &previous->rows[i]
+            : nullptr;
+    if (old != nullptr && old->type == row.type && old->read_count == row.read_count &&
+        old->write_count == row.write_count) {
+      const auto first = previous->objects.begin() + old->sets;
+      table.objects.insert(table.objects.end(), first,
+                           first + old->read_count + old->write_count);
+      row.object_dense = old->object_dense;
+    } else {
+      for (LogicalObjectId r : e.reads) {
+        table.objects.push_back(store_.Intern(r));
+      }
+      for (LogicalObjectId w : e.writes) {
+        table.objects.push_back(store_.Intern(w));
+      }
+      if (e.type == CommandType::kCopySend) {
+        row.object_dense = store_.Intern(e.object);
+      }
+      ++materialize_counters_.dense_resolves;
+    }
+    switch (e.type) {
+      case CommandType::kTask:
+        row.function = e.function;
+        row.duration = e.duration;
+        row.returns_scalar = e.returns_scalar;
+        row.task = static_cast<std::uint64_t>(e.global_entry);
+        table.cached_params[i] = &e.cached_params;
+        table.task_rows.emplace_back(e.global_entry, static_cast<std::int32_t>(i));
+        break;
+      case CommandType::kCopySend:
+      case CommandType::kCopyReceive:
+        row.copy_index = e.copy_index;
+        row.peer = e.peer;
+        row.object = e.object;
+        row.bytes = e.bytes;
+        if (e.type == CommandType::kCopyReceive) {
+          table.receives.push_back(static_cast<std::int32_t>(i));
+          table.copy_slot_count =
+              std::max(table.copy_slot_count, static_cast<std::size_t>(e.copy_index) + 1);
+        }
+        break;
+      default:
+        row.object = e.object;
+        break;
+    }
+  }
+  std::stable_sort(table.task_rows.begin(), table.task_rows.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 void Worker::OnInstallTemplate(core::WorkerHalf half, WorkerTemplateId id) {
@@ -235,17 +359,17 @@ void Worker::OnInstallTemplate(core::WorkerHalf half, WorkerTemplateId id) {
   control_thread_.Charge(charge);
   const DenseIndex index = template_ids_.Intern(id);
   templates_.EnsureSize(template_ids_.size());
-  CachedTemplate& cached = templates_[index];
-  cached.half = std::move(half);
-  cached.dense.assign(cached.half.entries.size(), CachedTemplate::DenseSets{});
-  cached.installed = true;
+  auto table = std::make_shared<RunnableTable>();
+  table->half = std::move(half);
+  CompileTable(*table, /*previous=*/nullptr, /*edits=*/{});
+  templates_[index].table = std::move(table);
 }
 
 std::size_t Worker::cached_template_count() const {
   control_phase_.Assert();
   std::size_t n = 0;
   for (const CachedTemplate& t : templates_) {
-    if (t.installed) {
+    if (t.table != nullptr) {
       ++n;
     }
   }
@@ -255,14 +379,17 @@ std::size_t Worker::cached_template_count() const {
 bool Worker::HasTemplate(WorkerTemplateId id) const {
   control_phase_.Assert();
   const DenseIndex index = template_ids_.Find(id);
-  return index != kInvalidDenseIndex && templates_[index].installed;
+  return index != kInvalidDenseIndex && templates_[index].table != nullptr;
 }
 
 std::size_t Worker::buffered_copy_count() const {
   control_phase_.Assert();
   std::size_t n = early_data_.size();
   for (const Group& g : groups_) {
-    for (const CopySlot& slot : g.copy_slots) {
+    if (g.state == nullptr) {
+      continue;
+    }
+    for (const CopySlot& slot : g.state->copy_slots) {
       if (slot.has_data) {
         ++n;
       }
@@ -279,21 +406,25 @@ void Worker::OnInstantiate(InstantiateMsg msg) {
   // The sparse template id is resolved once per message (the intern boundary); everything
   // past this point runs on dense indices.
   const DenseIndex tmpl_index = template_ids_.Find(msg.worker_template);
-  NIMBUS_CHECK(tmpl_index != kInvalidDenseIndex && templates_[tmpl_index].installed)
+  NIMBUS_CHECK(tmpl_index != kInvalidDenseIndex && templates_[tmpl_index].table != nullptr)
       << "worker " << id_ << " has no cached template " << msg.worker_template;
   CachedTemplate& cached = templates_[tmpl_index];
 
-  // Apply piggybacked edits to the cached structure first (paper §4.3). Replaced slots
-  // drop their resolved object sets; appended slots start unresolved.
+  // Piggybacked edits (paper §4.3) compile into a new table. Groups that hold the current
+  // one — running, or queued behind their control-thread charge — keep their pre-edit
+  // commands (copy-on-edit); with no other holder the half moves over instead of copying.
   if (!msg.edits.empty()) {
-    core::ApplyWorkerEditOps(&cached.half, msg.edits);
-    for (const core::WorkerEditOp& op : msg.edits) {
-      if (op.kind == core::WorkerEditOp::Kind::kReplaceWithReceive &&
-          static_cast<std::size_t>(op.index) < cached.dense.size()) {
-        cached.dense[static_cast<std::size_t>(op.index)] = CachedTemplate::DenseSets{};
-      }
+    auto next = std::make_shared<RunnableTable>();
+    if (cached.table.use_count() == 1) {
+      next->half = std::move(cached.table->half);
+    } else {
+      next->half = cached.table->half;
     }
+    core::ApplyWorkerEditOps(&next->half, msg.edits);
+    CompileTable(*next, cached.table.get(), msg.edits);
+    cached.table = std::move(next);
   }
+  const std::size_t entries = cached.table->rows.size();
 
   // Overlap-aware rate (DESIGN.md §9.3): a parallel executor materializes entry chunks on
   // min(lanes, cores) real cores, so the modeled per-entry charge divides by that, scaled
@@ -301,25 +432,27 @@ void Worker::OnInstantiate(InstantiateMsg msg) {
   // most one chunk per entry. One lane (the inline default) divides by 1.
   const double lanes = static_cast<double>(std::min(
       {executor_->concurrency(), static_cast<std::size_t>(costs_->worker_cores),
-       std::max<std::size_t>(1, cached.half.entries.size())}));
+       std::max<std::size_t>(1, entries)}));
   const double speedup = std::max(1.0, lanes * costs_->worker_materialize_efficiency);
   const auto charge = static_cast<sim::Duration>(
       static_cast<double>(costs_->instantiate_worker_template_auto_per_task *
-                          static_cast<sim::Duration>(cached.half.entries.size())) /
+                          static_cast<sim::Duration>(entries)) /
       speedup);
 
-  // Materialize the cached table into a runnable group after the control-thread charge.
-  // A halt between the charge and the materialization discards the instantiation: its
-  // group belongs to the abandoned pre-halt schedule (halt_epoch_ tracks this).
+  // Instantiate the table as it stands now after the control-thread charge. A halt between
+  // the charge and the materialization discards the instantiation: its group belongs to
+  // the abandoned pre-halt schedule (halt_epoch_ tracks this).
   const std::uint64_t epoch = halt_epoch_;
-  control_thread_.Submit(charge, [this, tmpl_index, epoch, msg = std::move(msg)]() {
+  control_thread_.Submit(charge, [this, tmpl_index, epoch,
+                                  table = std::shared_ptr<const RunnableTable>(cached.table),
+                                  msg = std::move(msg)]() mutable {
     // Deferred back onto the serial control phase by the simulator; the analysis sees
     // lambda bodies as separate functions, so the role is re-asserted here.
     control_phase_.Assert();
     if (failed_ || epoch != halt_epoch_) {
       return;
     }
-    MaterializeInstantiation(tmpl_index, msg);
+    MaterializeInstantiation(tmpl_index, std::move(table), msg);
   });
 }
 
@@ -330,140 +463,105 @@ std::size_t Worker::ChunkCount(std::size_t n) const {
   return std::max<std::size_t>(1, std::min(executor_->concurrency(), n));
 }
 
-void Worker::MaterializeInstantiation(DenseIndex tmpl_index, const InstantiateMsg& msg) {
+void Worker::MaterializeInstantiation(DenseIndex tmpl_index,
+                                      std::shared_ptr<const RunnableTable> table,
+                                      InstantiateMsg& msg) {
   NIMBUS_TRACE_SPAN(trace::Lane::kWorker, TraceTrack(id_), "materialize");
-  CachedTemplate& cached = templates_[tmpl_index];
-  const std::vector<core::WtEntry>& entries = cached.half.entries;
-  cached.dense.resize(entries.size());
+  const RunnableTable& t = *table;
+  const std::size_t n = t.rows.size();
 
   Group& group = GetOrCreateGroup(msg.group_seq, /*barrier=*/true);
+  group.table = std::move(table);
+  group.template_index = tmpl_index;
+  group.command_base = msg.command_base.value();
+  group.task_base = msg.task_base.value();
+  group.override_params = std::move(msg.params);
 
-  // Serial intern pre-pass: resolving an entry's objects to store-dense indices mutates
-  // the store's interner, so it cannot ride the parallel build batch. First touch (or the
-  // slot an edit replaced) resolves here, in entry order — the same intern order as the
-  // old fused loop — and every later instantiation of this template skips the pass.
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const core::WtEntry& e = entries[i];
-    CachedTemplate::DenseSets& ds = cached.dense[i];
-    if (ds.valid || e.dead) {
-      continue;
-    }
-    ds.reads.clear();
-    ds.writes.clear();
-    ds.reads.reserve(e.reads.size());
-    for (LogicalObjectId r : e.reads) {
-      ds.reads.push_back(store_.Intern(r));
-    }
-    ds.writes.reserve(e.writes.size());
-    for (LogicalObjectId w : e.writes) {
-      ds.writes.push_back(store_.Intern(w));
-    }
-    ds.object = e.type == CommandType::kCopySend ? store_.Intern(e.object)
-                                                 : kInvalidDenseIndex;
-    ds.valid = true;
-    ++materialize_counters_.dense_resolves;
+  std::unique_ptr<GroupState> state = std::move(templates_[tmpl_index].spare);
+  if (state != nullptr) {
+    ++materialize_counters_.state_reuses;
+  } else {
+    state = std::make_unique<GroupState>();
   }
+  GroupState& st = *state;
+  st.remaining.resize(n);
+  st.flags.resize(n);
+  st.params.resize(n);
 
-  // Sorted view of the sparse per-entry parameters: lookup below is a binary search, not a
-  // hash probe (steady state does no hashing per task).
-  std::vector<std::pair<std::int32_t, const ParameterBlob*>> params;
-  params.reserve(msg.params.size());
-  for (const auto& [slot, blob] : msg.params) {
-    params.emplace_back(slot, &blob);
-  }
-  std::sort(params.begin(), params.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // Parallel command build (DESIGN.md §9.3): entry i becomes command slot i, so chunks
-  // write disjoint slots of a pre-sized table and the result is executor-invariant. The
-  // build only reads the cached template, the resolved dense sets, and the sorted params;
-  // receive-slot binding and before-edge wiring mutate shared state and stay serial below.
-  group.commands.resize(entries.size());
-  const std::size_t chunks = ChunkCount(entries.size());
+  // Per-entry pass in executor chunks (DESIGN.md §9.3): each job copies its slice of the
+  // initial before counts and cached parameters and clears its flags. Slices are
+  // disjoint, so the state is executor-invariant.
+  const std::size_t chunks = ChunkCount(n);
   executor_->Run(chunks, [&](std::size_t job) {
-    const std::size_t begin = job * entries.size() / chunks;
-    const std::size_t end = (job + 1) * entries.size() / chunks;
-    for (std::size_t i = begin; i < end; ++i) {
-      const core::WtEntry& e = entries[i];
-      const CachedTemplate::DenseSets& ds = cached.dense[i];
-      RuntimeCommand& rc = group.commands[i];
-      rc.cmd.id = CommandId(msg.command_base.value() + i);
-      if (e.dead) {
-        rc.cmd.type = CommandType::kDataCreate;  // benign no-op preserving the index
-        continue;
-      }
-      rc.cmd.type = e.type;
-      switch (e.type) {
-        case CommandType::kTask: {
-          rc.cmd.function = e.function;
-          rc.cmd.task_id =
-              TaskId(msg.task_base.value() + static_cast<std::uint64_t>(e.global_entry));
-          rc.cmd.duration = e.duration;
-          rc.cmd.returns_scalar = e.returns_scalar;
-          const auto pit = std::lower_bound(
-              params.begin(), params.end(), e.global_entry,
-              [](const auto& p, std::int32_t slot) { return p.first < slot; });
-          if (pit != params.end() && pit->first == e.global_entry) {
-            rc.cmd.params = *pit->second;
-          } else {
-            rc.cmd.params = e.cached_params;
-          }
-          rc.reads_dense = ds.reads;
-          rc.writes_dense = ds.writes;
-          break;
-        }
-        case CommandType::kCopySend:
-        case CommandType::kCopyReceive: {
-          rc.cmd.copy_id = MakeCopyId(msg.group_seq, e.copy_index);
-          rc.cmd.peer = e.peer;
-          rc.cmd.copy_object = e.object;
-          rc.cmd.copy_bytes = e.bytes;
-          rc.object_dense = ds.object;
-          break;
-        }
-        default:
-          rc.cmd.data_object = e.object;
-          break;
-      }
-    }
+    const std::size_t begin = job * n / chunks;
+    const std::size_t end = (job + 1) * n / chunks;
+    std::copy(t.initial_remaining.begin() + static_cast<std::ptrdiff_t>(begin),
+              t.initial_remaining.begin() + static_cast<std::ptrdiff_t>(end),
+              st.remaining.begin() + static_cast<std::ptrdiff_t>(begin));
+    std::copy(t.cached_params.begin() + static_cast<std::ptrdiff_t>(begin),
+              t.cached_params.begin() + static_cast<std::ptrdiff_t>(end),
+              st.params.begin() + static_cast<std::ptrdiff_t>(begin));
+    std::fill(st.flags.begin() + static_cast<std::ptrdiff_t>(begin),
+              st.flags.begin() + static_cast<std::ptrdiff_t>(end), std::uint8_t{0});
   });
   materialize_counters_.build_chunks += chunks;
   ++materialize_counters_.groups;
-  materialize_counters_.entries += entries.size();
+  materialize_counters_.entries += n;
 
-  // Receive-slot binding claims buffered payloads and resizes the slot table: serial, in
-  // ascending entry order — exactly the bind order of the old fused loop.
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (!entries[i].dead && entries[i].type == CommandType::kCopyReceive) {
-      BindReceiveSlot(group, static_cast<std::int32_t>(i));
+  // Instantiation-supplied parameters override the cached ones of their task slots.
+  for (const auto& [slot, blob] : group.override_params) {
+    auto it = std::lower_bound(t.task_rows.begin(), t.task_rows.end(), slot,
+                               [](const auto& p, std::int32_t s) { return p.first < s; });
+    for (; it != t.task_rows.end() && it->first == slot; ++it) {
+      st.params[static_cast<std::size_t>(it->second)] = &blob;
     }
+  }
+
+  st.copy_slots.clear();
+  st.copy_slots.resize(t.copy_slot_count);
+  group.state = std::move(state);
+  // Receive-slot binding claims buffered payloads: serial, in ascending row order.
+  for (std::int32_t r : t.receives) {
+    BindReceiveSlot(group, r);
   }
 
   if (command_log_enabled_) {
-    for (const RuntimeCommand& rc : group.commands) {
-      command_log_.push_back(rc.cmd);
-    }
-  }
-
-  // Second pass wires the before edges: edits can append providers after their dependents,
-  // so an edge may point forward. Dead slots keep their edges (ordering is index-stable).
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    for (std::int32_t b : entries[i].before) {
-      NIMBUS_CHECK_GE(b, 0);
-      NIMBUS_CHECK_LT(static_cast<std::size_t>(b), entries.size());
-      if (static_cast<std::size_t>(b) == i) {
-        continue;
-      }
-      group.commands[static_cast<std::size_t>(b)].waiters.push_back(
-          static_cast<std::int32_t>(i));
-      ++group.commands[i].remaining_before;
+    for (std::size_t i = 0; i < n; ++i) {
+      command_log_.push_back(LoggedCommand(group, static_cast<std::int32_t>(i)));
     }
   }
 
   group.finalized = true;
-  group.expected_total = entries.size();
+  group.expected_total = n;
   MaybeStartGroups();
   FinishGroupIfDone(msg.group_seq);
+}
+
+Command Worker::LoggedCommand(const Group& group, std::int32_t index) {
+  const RunnableTable::Row& row = group.table->rows[static_cast<std::size_t>(index)];
+  Command cmd;
+  cmd.id = CommandId(group.command_base + static_cast<std::uint64_t>(index));
+  cmd.type = row.type;
+  switch (row.type) {
+    case CommandType::kTask:
+      cmd.function = row.function;
+      cmd.task_id = TaskId(group.task_base + row.task);
+      cmd.duration = row.duration;
+      cmd.returns_scalar = row.returns_scalar;
+      cmd.params = *group.state->params[static_cast<std::size_t>(index)];
+      break;
+    case CommandType::kCopySend:
+    case CommandType::kCopyReceive:
+      cmd.copy_id = MakeCopyId(group.seq, row.copy_index);
+      cmd.peer = row.peer;
+      cmd.copy_object = row.object;
+      cmd.copy_bytes = row.bytes;
+      break;
+    default:
+      cmd.data_object = row.object;
+      break;
+  }
+  return cmd;
 }
 
 void Worker::OnHalt() {
@@ -493,38 +591,95 @@ void Worker::OnLoadObjects(std::uint64_t group_seq, std::vector<LogicalObjectId>
   OnCommands(group_seq, std::move(commands), total, /*finalize=*/true, /*barrier=*/true);
 }
 
-void Worker::AddCommandToGroup(Group& group, Command cmd) {
-  const auto index = static_cast<std::int32_t>(group.commands.size());
-  group.index_of.emplace(cmd.id, index);
+void Worker::AddCommandToGroup(Group& group, const Command& cmd) {
+  StreamingState& s = *group.streaming;
+  RunnableTable& t = *s.table;
+  GroupState& st = *group.state;
+  NIMBUS_CHECK_LT(t.rows.size(), std::size_t{1} << kCopyIndexBits)
+      << "group " << group.seq << " exceeds the row field";
+  const auto index = static_cast<std::int32_t>(t.rows.size());
+  s.index_of.emplace(cmd.id, index);
+  s.commands.push_back(&cmd);
+  s.first_waiter.push_back(-1);
+  s.last_waiter.push_back(-1);
+  // Appends `waiter` to row `of`'s chain.
+  const auto add_waiter = [&s](std::int32_t of, std::int32_t waiter) {
+    const auto link = static_cast<std::int32_t>(s.links.size());
+    s.links.push_back({waiter, -1});
+    std::int32_t& last = s.last_waiter[static_cast<std::size_t>(of)];
+    if (last < 0) {
+      s.first_waiter[static_cast<std::size_t>(of)] = link;
+    } else {
+      s.links[static_cast<std::size_t>(last)].next = link;
+    }
+    last = link;
+  };
 
-  RuntimeCommand rc;
-  rc.cmd = std::move(cmd);
-  for (CommandId b : rc.cmd.before) {
-    if (group.done_ids.count(b) > 0) {
+  std::int32_t remaining = 0;
+  for (CommandId b : cmd.before) {
+    if (s.done_ids.count(b) > 0) {
       continue;  // dependency already completed
     }
-    auto it = group.index_of.find(b);
-    if (it != group.index_of.end() && it->second != index) {
-      group.commands[static_cast<std::size_t>(it->second)].waiters.push_back(index);
+    auto it = s.index_of.find(b);
+    if (it != s.index_of.end() && it->second != index) {
+      add_waiter(it->second, index);
     } else {
-      group.pending_edges[b].push_back(index);  // dependency not yet arrived (streaming)
+      s.pending_edges[b].push_back(index);  // dependency not yet arrived (streaming)
     }
-    ++rc.remaining_before;
+    ++remaining;
   }
 
-  ResolveTaskObjects(rc);
-  group.commands.push_back(std::move(rc));
-  if (group.commands.back().cmd.type == CommandType::kCopyReceive) {
+  RunnableTable::Row row;
+  row.type = cmd.type;
+  row.sets = static_cast<std::uint32_t>(t.objects.size());
+  switch (cmd.type) {
+    case CommandType::kTask:
+      row.function = cmd.function;
+      row.duration = cmd.duration;
+      row.returns_scalar = cmd.returns_scalar;
+      row.task = cmd.task_id.value();  // streaming groups have task base 0
+      row.read_count = static_cast<std::uint32_t>(cmd.read_set.size());
+      row.write_count = static_cast<std::uint32_t>(cmd.write_set.size());
+      for (LogicalObjectId r : cmd.read_set) {
+        t.objects.push_back(store_.Intern(r));
+      }
+      for (LogicalObjectId w : cmd.write_set) {
+        t.objects.push_back(store_.Intern(w));
+      }
+      break;
+    case CommandType::kCopySend:
+    case CommandType::kCopyReceive:
+      NIMBUS_CHECK_EQ(CopyGroupSeq(cmd.copy_id), group.seq)
+          << "copy id " << cmd.copy_id << " does not encode its group";
+      row.copy_index = CopyLocalIndex(cmd.copy_id);
+      row.peer = cmd.peer;
+      row.object = cmd.copy_object;
+      row.bytes = cmd.copy_bytes;
+      if (cmd.type == CommandType::kCopySend) {
+        row.object_dense = store_.Intern(cmd.copy_object);
+      }
+      break;
+    default:
+      row.object = cmd.data_object;
+      row.bytes = cmd.copy_bytes;
+      row.version = cmd.copy_version;
+      break;
+  }
+  t.rows.push_back(row);
+  st.remaining.push_back(remaining);
+  st.flags.push_back(0);
+  st.params.push_back(&cmd.params);
+  if (row.type == CommandType::kCopyReceive) {
     BindReceiveSlot(group, index);
   }
 
   // Resolve edges from commands that referenced this id before it arrived.
-  auto pe = group.pending_edges.find(group.commands.back().cmd.id);
-  if (pe != group.pending_edges.end()) {
+  auto pe = s.pending_edges.find(cmd.id);
+  if (pe != s.pending_edges.end()) {
     for (std::int32_t waiter : pe->second) {
-      group.commands[static_cast<std::size_t>(index)].waiters.push_back(waiter);
+      add_waiter(index, waiter);
     }
-    group.pending_edges.erase(pe);
+    s.pending_edges.erase(pe);
   }
 
   if (group.started) {
@@ -562,12 +717,12 @@ void Worker::StartGroup(std::uint64_t seq) {
   NIMBUS_TRACE_SPAN(trace::Lane::kWorker, TraceTrack(id_), "group_start");
 
   // Eligibility scan in executor chunks (DESIGN.md §9.3): the initial ready set is a pure
-  // read of each command's dependency count, so chunks write disjoint slots of the
+  // read of each row's flags and dependency count, so chunks write disjoint slots of the
   // bitmap. Launches themselves stay serial — they drive the single-threaded simulation —
   // and a command that becomes ready only during those launches is launched by the
   // completion cascade (CompleteCommand -> TryLaunch), exactly as in the fused loop,
   // where TryLaunch on a not-yet-ready index was a no-op too.
-  const std::size_t n = group->commands.size();
+  const std::size_t n = group->table->rows.size();
   // Scratch capacity is recycled across group starts, but the buffer is moved out while
   // in use: a launch below can cascade into a nested StartGroup (group completes ->
   // MaybeStartGroups), which must not clobber this scan (it just allocates its own).
@@ -575,13 +730,12 @@ void Worker::StartGroup(std::uint64_t seq) {
   ready.assign(n, 0);
   if (n > 0) {
     const std::size_t chunks = ChunkCount(n);
-    const std::vector<RuntimeCommand>& commands = group->commands;
+    const GroupState& st = *group->state;
     executor_->Run(chunks, [&](std::size_t job) {
       const std::size_t begin = job * n / chunks;
       const std::size_t end = (job + 1) * n / chunks;
       for (std::size_t i = begin; i < end; ++i) {
-        const RuntimeCommand& rc = commands[i];
-        ready[i] = !rc.launched && !rc.done && rc.remaining_before == 0 ? 1 : 0;
+        ready[i] = st.flags[i] == 0 && st.remaining[i] == 0 ? 1 : 0;
       }
     });
     ++materialize_counters_.launch_scans;
@@ -604,17 +758,18 @@ void Worker::StartGroup(std::uint64_t seq) {
 }
 
 void Worker::TryLaunch(Group& group, std::int32_t index) {
-  RuntimeCommand& rc = group.commands[static_cast<std::size_t>(index)];
-  if (rc.launched || rc.done || rc.remaining_before > 0 || !group.started) {
+  GroupState& st = *group.state;
+  const auto i = static_cast<std::size_t>(index);
+  if (st.flags[i] != 0 || st.remaining[i] > 0 || !group.started) {
     return;
   }
-  rc.launched = true;
+  st.flags[i] = GroupState::kLaunched;
   Launch(group, index);
 }
 
 void Worker::Launch(Group& group, std::int32_t index) {
-  RuntimeCommand& rc = group.commands[static_cast<std::size_t>(index)];
-  switch (rc.cmd.type) {
+  const RunnableTable::Row& row = group.table->rows[static_cast<std::size_t>(index)];
+  switch (row.type) {
     case CommandType::kTask:
       ExecuteTask(group, index);
       break;
@@ -628,45 +783,43 @@ void Worker::Launch(Group& group, std::int32_t index) {
       CompleteCommand(group.seq, index);
       break;
     case CommandType::kDataDestroy:
-      store_.Erase(rc.cmd.data_object);
+      store_.Erase(row.object);
       CompleteCommand(group.seq, index);
       break;
     case CommandType::kFileSave: {
       const sim::Duration cost = costs_->CheckpointWriteTime(
-          rc.cmd.copy_bytes > 0 ? rc.cmd.copy_bytes
-                                : store_.Get(rc.cmd.data_object)->ByteSize());
-      const std::uint64_t seq = group.seq;
-      cores_.Submit(cost, [this, seq, index]() {
+          row.bytes > 0 ? row.bytes : store_.Get(row.object)->ByteSize());
+      const std::uint64_t key = CommandKey(group.seq, index);
+      cores_.Submit(cost, [this, key]() {
         control_phase_.Assert();  // deferred onto the serial control phase
-        Group* g = FindGroup(seq);
+        Group* g = FindGroup(KeySeq(key));
         if (g == nullptr) {
           return;
         }
-        RuntimeCommand& cmd = g->commands[static_cast<std::size_t>(index)];
-        if (store_.Has(cmd.cmd.data_object)) {
-          durable_->Write(cmd.cmd.data_object, cmd.cmd.copy_version,
-                          *store_.Get(cmd.cmd.data_object));
+        const RunnableTable::Row& r = g->table->rows[static_cast<std::size_t>(KeyRow(key))];
+        if (store_.Has(r.object)) {
+          durable_->Write(r.object, r.version, *store_.Get(r.object));
         }
-        CompleteCommand(seq, index);
+        CompleteCommand(KeySeq(key), KeyRow(key));
       });
       break;
     }
     case CommandType::kFileLoad: {
-      NIMBUS_CHECK(durable_->Has(rc.cmd.data_object))
-          << "recovery: object " << rc.cmd.data_object << " missing from durable store";
+      NIMBUS_CHECK(durable_->Has(row.object))
+          << "recovery: object " << row.object << " missing from durable store";
       // One copy out of the shared store; the deferred load installs it.
-      auto entry = std::make_shared<DurableStore::Entry>(durable_->Read(rc.cmd.data_object));
+      auto entry = std::make_shared<DurableStore::Entry>(durable_->Read(row.object));
       const sim::Duration cost = costs_->CheckpointWriteTime(entry->payload->ByteSize());
-      const std::uint64_t seq = group.seq;
-      cores_.Submit(cost, [this, seq, index, entry]() {
+      const std::uint64_t key = CommandKey(group.seq, index);
+      cores_.Submit(cost, [this, key, entry]() {
         control_phase_.Assert();  // deferred onto the serial control phase
-        Group* g = FindGroup(seq);
+        Group* g = FindGroup(KeySeq(key));
         if (g == nullptr) {
           return;
         }
-        RuntimeCommand& cmd = g->commands[static_cast<std::size_t>(index)];
-        store_.Put(cmd.cmd.data_object, entry->version, std::move(entry->payload));
-        CompleteCommand(seq, index);
+        const RunnableTable::Row& r = g->table->rows[static_cast<std::size_t>(KeyRow(key))];
+        store_.Put(r.object, entry->version, std::move(entry->payload));
+        CompleteCommand(KeySeq(key), KeyRow(key));
       });
       break;
     }
@@ -674,62 +827,71 @@ void Worker::Launch(Group& group, std::int32_t index) {
 }
 
 void Worker::ExecuteTask(Group& group, std::int32_t index) {
-  RuntimeCommand& rc = group.commands[static_cast<std::size_t>(index)];
-  const sim::Duration total = rc.cmd.duration + costs_->worker_dispatch_per_task;
-  const std::uint64_t seq = group.seq;
-  cores_.Submit(total, [this, seq, index]() {
+  const sim::Duration total = group.table->rows[static_cast<std::size_t>(index)].duration +
+                              costs_->worker_dispatch_per_task;
+  // With `this`, the packed key fills std::function's inline buffer: scheduling a task
+  // allocates nothing.
+  const std::uint64_t key = CommandKey(group.seq, index);
+  cores_.Submit(total, [this, key]() {
     control_phase_.Assert();  // deferred onto the serial control phase
+    const std::uint64_t seq = KeySeq(key);
+    const std::int32_t r = KeyRow(key);
     Group* g = FindGroup(seq);
     if (g == nullptr || failed_) {
       return;
     }
-    RuntimeCommand& cmd = g->commands[static_cast<std::size_t>(index)];
-    TaskContext ctx(&store_, &cmd.reads_dense, &cmd.writes_dense, &cmd.cmd.params);
-    functions_->Get(cmd.cmd.function)(ctx);
+    const RunnableTable& t = *g->table;
+    const RunnableTable::Row& row = t.rows[static_cast<std::size_t>(r)];
+    const DenseIndex* reads = t.objects.data() + row.sets;
+    const DenseIndex* writes = reads + row.read_count;
+    TaskContext ctx(&store_, reads, row.read_count, writes, row.write_count,
+                    g->state->params[static_cast<std::size_t>(r)]);
+    functions_->Get(row.function)(ctx);
     ++tasks_executed_;
     // Bump local versions of written objects (informative; global truth is controller-side).
-    for (DenseIndex o : cmd.writes_dense) {
-      if (store_.HasDense(o)) {
-        store_.BumpVersionDense(o, store_.VersionDense(o) + 1);
+    for (std::uint32_t k = 0; k < row.write_count; ++k) {
+      if (store_.HasDense(writes[k])) {
+        store_.BumpVersionDense(writes[k], store_.VersionDense(writes[k]) + 1);
       }
     }
-    if (cmd.cmd.returns_scalar) {
+    if (row.returns_scalar) {
       NIMBUS_CHECK(ctx.has_scalar())
-          << "function " << functions_->Name(cmd.cmd.function)
+          << "function " << functions_->Name(row.function)
           << " was marked returns_scalar but did not call ReturnScalar";
-      g->scalars.push_back(ScalarResult{cmd.cmd.task_id, ctx.scalar()});
+      g->scalars.push_back(ScalarResult{TaskId(g->task_base + row.task), ctx.scalar()});
     }
-    CompleteCommand(seq, index);
+    CompleteCommand(seq, r);
   });
 }
 
 void Worker::ExecuteCopySend(Group& group, std::int32_t index) {
-  RuntimeCommand& rc = group.commands[static_cast<std::size_t>(index)];
-  NIMBUS_CHECK(store_.HasDense(rc.object_dense))
-      << "worker " << id_ << ": copy-send of non-resident object " << rc.cmd.copy_object;
-  const net::NodeAddress peer = net::NodeAddress::ForWorker(rc.cmd.peer);
+  const RunnableTable::Row& row = group.table->rows[static_cast<std::size_t>(index)];
+  NIMBUS_CHECK(store_.HasDense(row.object_dense))
+      << "worker " << id_ << ": copy-send of non-resident object " << row.object;
+  const net::NodeAddress peer = net::NodeAddress::ForWorker(row.peer);
   // The transfer occupies this worker's NIC for its serialization time and is delivered one
   // latency later; the send command itself completes immediately (asynchronous I/O, §3.4).
   // A failed peer is unreachable: skip the send (the controller reschedules via recovery).
   if (transport_->Reachable(peer)) {
     wire::DataCopyEnvelope e;
-    e.copy = rc.cmd.copy_id;
-    e.object = rc.cmd.copy_object;
-    e.version = store_.VersionDense(rc.object_dense);
-    e.payload = store_.GetDense(rc.object_dense)->Clone();
+    e.copy = MakeCopyId(group.seq, row.copy_index);
+    e.object = row.object;
+    e.version = store_.VersionDense(row.object_dense);
+    e.payload = store_.GetDense(row.object_dense)->Clone();
     transport_->Send(address(), peer, MessageKind::kData, wire::EncodeDataCopyEnvelope(e),
-                     /*cost_bytes=*/rc.cmd.copy_bytes);
+                     /*cost_bytes=*/row.bytes);
   }
   CompleteCommand(group.seq, index);
 }
 
 void Worker::ExecuteCopyReceive(Group& group, std::int32_t index) {
-  RuntimeCommand& rc = group.commands[static_cast<std::size_t>(index)];
-  const std::int32_t ci = CopyLocalIndex(rc.cmd.copy_id);
-  NIMBUS_CHECK_LT(static_cast<std::size_t>(ci), group.copy_slots.size())
-      << "no copy slot for " << rc.cmd.copy_id;
-  CopySlot& slot = group.copy_slots[static_cast<std::size_t>(ci)];
-  NIMBUS_CHECK_EQ(slot.command, index) << "receive slot mismatch for copy " << rc.cmd.copy_id;
+  const std::int32_t ci = group.table->rows[static_cast<std::size_t>(index)].copy_index;
+  std::vector<CopySlot>& slots = group.state->copy_slots;
+  NIMBUS_CHECK_LT(static_cast<std::size_t>(ci), slots.size())
+      << "no copy slot for " << MakeCopyId(group.seq, ci);
+  CopySlot& slot = slots[static_cast<std::size_t>(ci)];
+  NIMBUS_CHECK_EQ(slot.command, index)
+      << "receive slot mismatch for copy " << MakeCopyId(group.seq, ci);
   if (!slot.has_data) {
     return;  // completes when the data message arrives
   }
@@ -764,13 +926,12 @@ void Worker::OnDataMessage(CopyId copy, LogicalObjectId object, Version version,
     return;
   }
   CopySlot& slot = EnsureCopySlot(*g, CopyLocalIndex(copy));
-  if (slot.command >= 0) {
-    RuntimeCommand& rc = g->commands[static_cast<std::size_t>(slot.command)];
-    if (rc.launched && !rc.done) {
-      store_.PutDense(store_.Intern(object), version, std::move(payload));
-      CompleteCommand(seq, slot.command);
-      return;
-    }
+  if (slot.command >= 0 &&
+      g->state->flags[static_cast<std::size_t>(slot.command)] == GroupState::kLaunched) {
+    // Launched and not done: the receive is waiting on exactly this payload.
+    store_.PutDense(store_.Intern(object), version, std::move(payload));
+    CompleteCommand(seq, slot.command);
+    return;
   }
   slot.has_data = true;
   slot.object = object;
@@ -783,28 +944,51 @@ void Worker::CompleteCommand(std::uint64_t group_seq, std::int32_t index) {
   if (group == nullptr) {
     return;
   }
-  RuntimeCommand& rc = group->commands[static_cast<std::size_t>(index)];
-  NIMBUS_CHECK(!rc.done);
-  rc.done = true;
+  const auto i = static_cast<std::size_t>(index);
+  std::uint8_t& flags = group->state->flags[i];
+  NIMBUS_CHECK((flags & GroupState::kDone) == 0);
+  flags |= GroupState::kDone;
   ++group->done_count;
-  if (group->streaming) {
-    group->done_ids.insert(rc.cmd.id);  // late edges may still reference this id
-  }
-  // Copy the waiter list: launching a waiter can cascade into completing the whole group,
-  // which prunes it from the deque and frees `rc`.
-  const std::vector<std::int32_t> waiters = rc.waiters;
-  for (std::int32_t waiter : waiters) {
-    group = FindGroup(group_seq);
-    if (group == nullptr) {
-      return;
+  // The waiter list is walked in place. Launching a waiter can cascade into completing the
+  // whole group, which retires it: its state goes back to the template and its table (or
+  // streaming state) may lose its last holder and be freed. A group is done only once
+  // every waiter has been released, so that can happen only inside the last release; the
+  // walk therefore reads its bounds and each link before releasing, and touches nothing
+  // of the group after the last one. While the group lives its lists cannot change: rows
+  // are appended only by message handlers, never inside a cascade.
+  if (group->streaming != nullptr) {
+    StreamingState& s = *group->streaming;
+    s.done_ids.insert(s.commands[i]->id);  // late edges may still reference this id
+    for (std::int32_t link = s.first_waiter[i]; link >= 0;) {
+      const StreamingState::WaiterLink w = s.links[static_cast<std::size_t>(link)];
+      if (!ReleaseWaiter(group_seq, w.row)) {
+        return;
+      }
+      link = w.next;
     }
-    RuntimeCommand& w = group->commands[static_cast<std::size_t>(waiter)];
-    NIMBUS_CHECK_GT(w.remaining_before, 0);
-    if (--w.remaining_before == 0) {
-      TryLaunch(*group, waiter);
+  } else {
+    const RunnableTable& t = *group->table;
+    const std::uint32_t end = t.waiter_begin[i + 1];
+    for (std::uint32_t k = t.waiter_begin[i]; k < end; ++k) {
+      if (!ReleaseWaiter(group_seq, t.waiters[k])) {
+        return;
+      }
     }
   }
   FinishGroupIfDone(group_seq);
+}
+
+bool Worker::ReleaseWaiter(std::uint64_t group_seq, std::int32_t waiter) {
+  Group* group = FindGroup(group_seq);
+  if (group == nullptr) {
+    return false;
+  }
+  std::int32_t& remaining = group->state->remaining[static_cast<std::size_t>(waiter)];
+  NIMBUS_CHECK_GT(remaining, 0);
+  if (--remaining == 0) {
+    TryLaunch(*group, waiter);
+  }
+  return true;
 }
 
 void Worker::FinishGroupIfDone(std::uint64_t seq) {
@@ -813,7 +997,7 @@ void Worker::FinishGroupIfDone(std::uint64_t seq) {
       group->done_count != group->expected_total) {
     return;
   }
-  NIMBUS_CHECK_EQ(group->done_count, group->commands.size());
+  NIMBUS_CHECK_EQ(group->done_count, group->table->rows.size());
 
   if (!group->reported) {
     group->reported = true;
@@ -836,6 +1020,7 @@ void Worker::FinishGroupIfDone(std::uint64_t seq) {
     if (front.finalized && front.started && front.reported &&
         front.done_count == front.expected_total) {
       stale_seq_floor_ = std::max(stale_seq_floor_, front.seq);
+      RecycleState(front);
       groups_.pop_front();
       pruned = true;
     } else {
@@ -850,6 +1035,17 @@ void Worker::FinishGroupIfDone(std::uint64_t seq) {
                       early_data_.end());
   }
   MaybeStartGroups();
+}
+
+void Worker::RecycleState(Group& group) {
+  if (group.template_index == kInvalidDenseIndex || group.state == nullptr) {
+    return;
+  }
+  CachedTemplate& cached = templates_[group.template_index];
+  if (cached.spare == nullptr) {
+    group.state->copy_slots.clear();  // buffered data dies with its group
+    cached.spare = std::move(group.state);
+  }
 }
 
 Worker::Group* Worker::FindGroup(std::uint64_t seq) {

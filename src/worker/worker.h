@@ -10,11 +10,13 @@
 // path). Groups marked `barrier` start only after every earlier group completes, which is
 // how patch copies are ordered before the block that needs them.
 //
-// Hot-path layout (DESIGN.md §6.6): cached templates live in a flat array indexed by dense
-// template id and carry per-entry read/write sets pre-resolved to store-dense indices, so
-// materializing an instantiation and executing its tasks does no hashing. Copy routing is
-// arithmetic on the structured copy id (command.h): the embedded group sequence finds the
-// group, the embedded copy index addresses a per-group slot array. The id-keyed tables
+// Hot-path layout (DESIGN.md §6.6, §9.3): every group runs from a runnable table — flat
+// rows, read/write sets pre-resolved to store-dense indices, before edges inverted into
+// CSR waiter lists. A cached template's table is compiled once per install or edit batch
+// and shared by the groups instantiated from it, so instantiating and executing a block
+// does no hashing and, in steady state, no allocation. Copy routing is arithmetic on the
+// structured copy id (command.h): the embedded group sequence finds the group, the
+// embedded copy index addresses a per-group slot array. The id-keyed tables
 // (`index_of`, `pending_edges`, `done_ids`) exist only for streaming command arrival — the
 // central-dispatch slow path.
 
@@ -124,7 +126,7 @@ class Worker {
   const std::vector<Command>& command_log() const { return command_log_; }
 
   // ---- Parallel materialization (DESIGN.md §9.3) ----
-  // Swaps the executor that materializes instantiation groups (per-entry command builds
+  // Swaps the executor that materializes instantiation groups (the per-entry state pass
   // and group-start eligibility scans run as chunked executor jobs). The worker does not
   // own it; nullptr restores the built-in InlineExecutor — the default, which runs every
   // batch sequentially in index order and is bit-identical to the pre-executor code path
@@ -143,17 +145,42 @@ class Worker {
   const FailureCounters& failure_counters() const { return failure_counters_; }
 
  private:
-  struct RuntimeCommand {
-    Command cmd;
-    int remaining_before = 0;
-    std::vector<std::int32_t> waiters;  // local indexes depending on this command
-    bool done = false;
-    bool launched = false;
-    // Read/write sets resolved to store-dense indices at command build; task execution and
-    // copy sends probe the store through these with no hashing.
-    std::vector<DenseIndex> reads_dense;
-    std::vector<DenseIndex> writes_dense;
-    DenseIndex object_dense = kInvalidDenseIndex;  // copy-send object
+  // The runnable form of a group's commands (DESIGN.md §9.3): one row of scalars per
+  // command, the rows' read/write sets resolved to store-dense indices in one array, and
+  // the before edges inverted into waiter lists. A template's table is compiled once per
+  // install or edit batch and shared, immutable, by every group instantiated from it; a
+  // streaming group appends rows to a table of its own as its commands arrive.
+  struct RunnableTable {
+    struct Row {
+      CommandType type = CommandType::kDataCreate;  // a dead template slot is a no-op create
+      bool returns_scalar = false;
+      std::int32_t copy_index = -1;  // copy pairs: the copy id's block-local index
+      FunctionId function;
+      WorkerId peer;
+      LogicalObjectId object;  // copy object, or the data/file command's object
+      DenseIndex object_dense = kInvalidDenseIndex;  // copy-send object
+      sim::Duration duration = 0;
+      std::int64_t bytes = 0;
+      Version version = 0;      // file-save version
+      std::uint64_t task = 0;   // task id minus the group's task base
+      std::uint32_t sets = 0;   // reads at objects[sets, +read_count), writes follow
+      std::uint32_t read_count = 0;
+      std::uint32_t write_count = 0;
+    };
+
+    core::WorkerHalf half;  // templates: the cached half the rows were compiled from
+    std::vector<Row> rows;
+    std::vector<DenseIndex> objects;
+    // Templates only. Waiters of row i are waiters[waiter_begin[i], waiter_begin[i + 1]),
+    // in ascending row order; initial_remaining[i] counts row i's before edges;
+    // cached_params[i] is the row's baked-in parameter blob.
+    std::vector<std::uint32_t> waiter_begin;
+    std::vector<std::int32_t> waiters;
+    std::vector<std::int32_t> initial_remaining;
+    std::vector<const ParameterBlob*> cached_params;
+    std::vector<std::pair<std::int32_t, std::int32_t>> task_rows;  // (global entry, row)
+    std::vector<std::int32_t> receives;  // live copy-receive rows, ascending
+    std::size_t copy_slot_count = 0;     // largest receive copy index + 1
   };
 
   // Per-group state of one copy pair's receiving half, addressed by the copy id's embedded
@@ -167,38 +194,63 @@ class Worker {
     std::unique_ptr<Payload> payload;
   };
 
+  // The mutable half of a group, one slot per row. A retired template group hands its
+  // state back to the template (one spare each), so steady-state instantiation reuses the
+  // buffers instead of allocating them.
+  struct GroupState {
+    static constexpr std::uint8_t kLaunched = 1;
+    static constexpr std::uint8_t kDone = 2;
+    std::vector<std::int32_t> remaining;  // before edges still pending
+    std::vector<std::uint8_t> flags;
+    std::vector<const ParameterBlob*> params;
+    std::vector<CopySlot> copy_slots;  // by block-local copy index
+  };
+
+  // Streaming-only bookkeeping: commands arrive by id, possibly before the commands their
+  // before sets name, so edges are wired as ids resolve.
+  struct StreamingState {
+    std::shared_ptr<RunnableTable> table;  // the group's own table, appended to in place
+    // The arrived batches, kept whole until the group retires: rows point at their
+    // commands' ids and parameter blobs instead of copying them.
+    std::vector<std::vector<Command>> batches;
+    std::vector<const Command*> commands;  // by row
+    // Waiter lists as chains through one array: row r's waiters start at first_waiter[r]
+    // (-1: none) and follow `next`, in the order their edges were wired.
+    struct WaiterLink {
+      std::int32_t row = -1;
+      std::int32_t next = -1;
+    };
+    std::vector<std::int32_t> first_waiter;  // by row
+    std::vector<std::int32_t> last_waiter;   // by row
+    std::vector<WaiterLink> links;
+    std::unordered_map<CommandId, std::int32_t> index_of;
+    // before-ids referenced before their command arrived.
+    std::unordered_map<CommandId, std::vector<std::int32_t>> pending_edges;
+    std::unordered_set<CommandId> done_ids;
+  };
+
   struct Group {
     std::uint64_t seq = 0;
     bool barrier = false;
     bool finalized = false;
     bool started = false;
     bool reported = false;
-    bool streaming = false;  // built command-by-command via OnCommands
     std::size_t expected_total = 0;
     std::size_t done_count = 0;
-    std::vector<RuntimeCommand> commands;
-    std::vector<CopySlot> copy_slots;  // by block-local copy index
-    // Streaming-only id-keyed tables (template materialization never touches them).
-    std::unordered_map<CommandId, std::int32_t> index_of;
-    // before-ids referenced before their command arrived (streaming dispatch).
-    std::unordered_map<CommandId, std::vector<std::int32_t>> pending_edges;
-    std::unordered_set<CommandId> done_ids;
+    std::shared_ptr<const RunnableTable> table;
+    std::unique_ptr<GroupState> state;
+    DenseIndex template_index = kInvalidDenseIndex;  // instantiated template (spare owner)
+    std::uint64_t command_base = 0;  // command id of row 0 (template groups)
+    std::uint64_t task_base = 0;
+    std::vector<std::pair<std::int32_t, ParameterBlob>> override_params;
+    std::unique_ptr<StreamingState> streaming;  // set for groups built via OnCommands
     std::vector<ScalarResult> scalars;
   };
 
-  // A cached worker template plus its entries' read/write sets resolved to store-dense
-  // indices. The dense sets are (re)built lazily per entry, so edits only invalidate the
-  // slots they touch.
+  // A cached worker template: its compiled table and the group state kept for reuse.
   struct CachedTemplate {
-    bool installed = false;
-    core::WorkerHalf half;
-    struct DenseSets {
-      bool valid = false;
-      std::vector<DenseIndex> reads;
-      std::vector<DenseIndex> writes;
-      DenseIndex object = kInvalidDenseIndex;
-    };
-    std::vector<DenseSets> dense;  // parallel to half.entries
+    std::shared_ptr<RunnableTable> table;  // null until installed
+    std::unique_ptr<GroupState> spare;
   };
 
   // Copy data that arrived before its group existed.
@@ -227,15 +279,29 @@ class Worker {
       NIMBUS_REQUIRES(control_phase_);
   // Binds a receive command to its copy slot and claims any early-buffered payload.
   void BindReceiveSlot(Group& group, std::int32_t index) NIMBUS_REQUIRES(control_phase_);
-  void AddCommandToGroup(Group& group, Command cmd) NIMBUS_REQUIRES(control_phase_);
-  void ResolveTaskObjects(RuntimeCommand& rc);
-  void MaterializeInstantiation(DenseIndex tmpl_index, const InstantiateMsg& msg)
+  // Appends one streamed command to its group's own table and wires its before edges.
+  void AddCommandToGroup(Group& group, const Command& cmd) NIMBUS_REQUIRES(control_phase_);
+  // Compiles `table.half` into the table's rows. Entries an edit batch left untouched
+  // reuse their dense sets from `previous` (nullable); the rest intern through the store.
+  void CompileTable(RunnableTable& table, const RunnableTable* previous,
+                    const std::vector<core::WorkerEditOp>& edits)
       NIMBUS_REQUIRES(control_phase_);
+  void MaterializeInstantiation(DenseIndex tmpl_index,
+                                std::shared_ptr<const RunnableTable> table,
+                                InstantiateMsg& msg) NIMBUS_REQUIRES(control_phase_);
+  // Row `index` of a template group as the explicit command it stands for (command log).
+  static Command LoggedCommand(const Group& group, std::int32_t index);
+  // Hands a retiring template group's state back to its template as the spare.
+  void RecycleState(Group& group) NIMBUS_REQUIRES(control_phase_);
   void MaybeStartGroups() NIMBUS_REQUIRES(control_phase_);
   void StartGroup(std::uint64_t seq) NIMBUS_REQUIRES(control_phase_);
   void TryLaunch(Group& group, std::int32_t index) NIMBUS_REQUIRES(control_phase_);
   void Launch(Group& group, std::int32_t index) NIMBUS_REQUIRES(control_phase_);
   void CompleteCommand(std::uint64_t group_seq, std::int32_t index)
+      NIMBUS_REQUIRES(control_phase_);
+  // Counts down one pending edge of `waiter` and launches it at zero. False once the group
+  // is gone (a cascade retired it).
+  bool ReleaseWaiter(std::uint64_t group_seq, std::int32_t waiter)
       NIMBUS_REQUIRES(control_phase_);
   void FinishGroupIfDone(std::uint64_t seq) NIMBUS_REQUIRES(control_phase_);
   void HeartbeatTick(sim::Duration period);

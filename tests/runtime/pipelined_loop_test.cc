@@ -7,7 +7,7 @@
 //    streams (the worker log now covers materialized instantiation groups), same scalar
 //    results, same converged coefficients. Only cost accounting may differ.
 //  * Worker materialization through a ThreadPoolExecutor must be bit-identical to the
-//    InlineExecutor default: command builds write disjoint pre-sized slots and launches
+//    InlineExecutor default: per-entry passes write disjoint pre-sized slots and launches
 //    stay serial, so the executor cannot change observable behavior.
 // A stale or wrong hint must fall back to the serial sweep without changing results.
 
@@ -194,7 +194,7 @@ TEST(PipelinedLoopTest, WrongHintFallsBackToSerialSweep) {
 }
 
 // Worker-side parallel materialization: a thread pool must produce exactly the serial
-// results (command builds write disjoint slots; launches stay serial). Raced under
+// results (per-entry passes write disjoint slots; launches stay serial). Raced under
 // ASan/TSan via the runtime label. The charge model differs (parallel lanes), so this
 // compares results, streams and state — not virtual times.
 TEST(PipelinedLoopTest, ThreadPoolMaterializationBitIdenticalToInline) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/apps/logistic_regression.h"
+#include "src/common/rng.h"
 #include "src/driver/cluster.h"
 #include "src/driver/job.h"
 #include "src/task/command.h"
@@ -64,6 +65,44 @@ RunOutput RunLr(TransportKind transport, ControlMode mode, bool serialized_batch
   return out;
 }
 
+// LR under templates with Fig 10 edits: every other iteration migrates `per_batch` random
+// tasks between workers, so edits ride the instantiation messages over the transport and
+// workers compile new tables from them. Planning needs a quiescent cluster, so no older
+// group is still in flight when an edit lands; an edit reaching a group that still holds
+// the previous table is covered at worker level (tests/worker/worker_test.cc).
+RunOutput RunLrWithMigrations(TransportKind transport, int warm, int iters, int per_batch) {
+  ClusterOptions options;
+  options.workers = 4;
+  options.partitions = 8;
+  options.mode = ControlMode::kTemplates;
+  options.transport = transport;
+  options.enable_command_log = true;
+  Cluster cluster(options);
+  Job job(&cluster);
+
+  LogisticRegressionApp app(&job, SmallConfig());
+  app.Setup();
+
+  RunOutput out;
+  Rng rng(11);
+  for (int i = 0; i < warm + iters; ++i) {
+    if (i >= warm && (i - warm) % 2 == 0) {
+      // Planning reaches into the controller from the driver thread: only safe between
+      // blocks with every node quiescent.
+      cluster.Quiesce();
+      cluster.controller().PlanRandomMigrations(app.InnerBlockName(), per_batch, &rng);
+    }
+    out.iteration_scalars.push_back(app.RunInnerIteration().FirstScalar());
+  }
+
+  cluster.Quiesce();
+  out.coefficients = app.CoeffSnapshot();
+  for (WorkerId id : cluster.worker_ids()) {
+    out.command_logs.push_back(cluster.worker(id)->command_log());
+  }
+  return out;
+}
+
 void ExpectIdentical(const RunOutput& sim, const RunOutput& tcp) {
   // Scalars and coefficients: exact double equality, not tolerance — the arithmetic and
   // its order must be the same on both transports.
@@ -106,6 +145,21 @@ TEST(TransportEquivalenceTest, LrSerializedBatchingBitIdenticalSimVsTcp) {
   const RunOutput sim = RunLr(TransportKind::kSim, ControlMode::kCentralOnly, true, 3);
   const RunOutput tcp = RunLr(TransportKind::kTcp, ControlMode::kCentralOnly, true, 3);
   ExpectIdentical(sim, tcp);
+}
+
+TEST(TransportEquivalenceTest, LrMigrationsBitIdenticalSimVsTcp) {
+  const int warm = 3;
+  const int iters = 8;
+  const RunOutput sim = RunLrWithMigrations(TransportKind::kSim, warm, iters, 2);
+  const RunOutput tcp = RunLrWithMigrations(TransportKind::kTcp, warm, iters, 2);
+  ExpectIdentical(sim, tcp);
+  // And both match the model-free reference: the edits moved work, not results.
+  const std::vector<double> expected =
+      LogisticRegressionApp::ReferenceInnerLoop(SmallConfig(), warm + iters);
+  ASSERT_EQ(expected.size(), tcp.coefficients.size());
+  for (std::size_t d = 0; d < expected.size(); ++d) {
+    EXPECT_DOUBLE_EQ(expected[d], tcp.coefficients[d]) << "coefficient " << d;
+  }
 }
 
 TEST(TransportEquivalenceTest, TcpMatchesSequentialReference) {

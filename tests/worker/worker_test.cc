@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/data/durable_store.h"
 #include "src/net/sim_transport.h"
@@ -352,6 +354,300 @@ TEST(WorkerTest, TemplateInstallAndInstantiate) {
   h.simulation.Run();
   EXPECT_EQ(runs, 3);
   EXPECT_EQ(h.completions.size(), 3u);
+}
+
+// A two-entry half: a copy receive of object 7 from worker 1, then a task reading it.
+core::WorkerHalf ReceiveThenTaskHalf(FunctionId reader) {
+  core::WorkerHalf half;
+  half.worker = WorkerId(0);
+  core::WtEntry recv;
+  recv.type = CommandType::kCopyReceive;
+  recv.copy_index = 0;
+  recv.peer = WorkerId(1);
+  recv.object = LogicalObjectId(7);
+  recv.bytes = 8;
+  recv.writes = {LogicalObjectId(7)};
+  half.entries.push_back(recv);
+  core::WtEntry task;
+  task.type = CommandType::kTask;
+  task.function = reader;
+  task.global_entry = 0;
+  task.reads = {LogicalObjectId(7)};
+  task.writes = {LogicalObjectId(8)};
+  task.before = {0};
+  task.duration = sim::Millis(1);
+  half.entries.push_back(task);
+  return half;
+}
+
+InstantiateMsg InstantiateTemplateOne(std::uint64_t seq,
+                                      std::vector<core::WorkerEditOp> edits = {}) {
+  InstantiateMsg msg;
+  msg.worker_template = WorkerTemplateId(1);
+  msg.group_seq = seq;
+  msg.command_base = CommandId(seq * 100);
+  msg.task_base = TaskId(seq * 100);
+  msg.edits = std::move(edits);
+  return msg;
+}
+
+// What one run of the edit scenario below observably produced.
+struct EditRun {
+  std::vector<std::string> order;  // functions in execution order
+  std::vector<Command> log;
+  std::vector<std::uint64_t> completed;
+  double object8 = 0;
+  double object9 = 0;
+};
+
+// Instantiates a receive-then-task template, then instantiates it again with edits that
+// retire the task and append a different one. With `overlap`, the second instantiation
+// (and its edits) arrives while the first group is still blocked on its copy receive;
+// without, the first group has finished by then.
+EditRun RunEditScenario(bool overlap) {
+  Harness h(1);
+  EditRun run;
+  const FunctionId reader = h.functions.Register("reader", [&run](TaskContext& ctx) {
+    run.order.push_back("reader");
+    ctx.WriteScalar(0).set_value(ctx.ReadScalar(0) * 2);
+  });
+  const FunctionId extra = h.functions.Register("extra", [&run](TaskContext& ctx) {
+    run.order.push_back("extra");
+    ctx.WriteScalar(0).set_value(ctx.ReadScalar(0) + 1);
+  });
+  h.w(0).EnableCommandLog();
+  h.w(0).OnInstallTemplate(ReceiveThenTaskHalf(reader), WorkerTemplateId(1));
+
+  std::vector<core::WorkerEditOp> edits(2);
+  edits[0].kind = core::WorkerEditOp::Kind::kTombstone;
+  edits[0].index = 1;
+  edits[1].kind = core::WorkerEditOp::Kind::kAppendEntry;
+  edits[1].entry.type = CommandType::kTask;
+  edits[1].entry.function = extra;
+  edits[1].entry.global_entry = 1;
+  edits[1].entry.reads = {LogicalObjectId(7)};
+  edits[1].entry.writes = {LogicalObjectId(9)};
+  edits[1].entry.before = {0};
+  edits[1].entry.duration = sim::Millis(1);
+
+  auto deliver = [&h](std::uint64_t seq, double value) {
+    h.w(0).OnDataMessage(MakeCopyId(seq, 0), LogicalObjectId(7), 1,
+                         std::make_unique<ScalarPayload>(value));
+    h.simulation.Run();
+  };
+
+  h.w(0).OnInstantiate(InstantiateTemplateOne(1));
+  h.simulation.Run();  // group 1 materialized and started; blocked on its receive
+  if (!overlap) {
+    deliver(1, 1.5);
+  }
+  h.w(0).OnInstantiate(InstantiateTemplateOne(2, edits));
+  h.simulation.Run();
+  if (overlap) {
+    EXPECT_TRUE(h.completions.empty());
+    EXPECT_TRUE(run.order.empty());
+    deliver(1, 1.5);
+  }
+  deliver(2, 4.0);
+
+  run.log = h.w(0).command_log();
+  for (const auto& [worker, seq] : h.completions) {
+    run.completed.push_back(seq);
+  }
+  run.object8 = dynamic_cast<const ScalarPayload*>(h.w(0).store().Get(LogicalObjectId(8)))
+                    ->value();
+  run.object9 = dynamic_cast<const ScalarPayload*>(h.w(0).store().Get(LogicalObjectId(9)))
+                    ->value();
+  return run;
+}
+
+// Edits compile a new table; a group instantiated before them keeps running the commands
+// it was instantiated with, even while blocked when the edits land.
+TEST(WorkerTest, EditsDoNotReachAGroupStillRunningTheOldTable) {
+  const EditRun overlapped = RunEditScenario(/*overlap=*/true);
+  const EditRun sequential = RunEditScenario(/*overlap=*/false);
+
+  EXPECT_EQ(overlapped.order, (std::vector<std::string>{"reader", "extra"}));
+  EXPECT_EQ(overlapped.completed, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_DOUBLE_EQ(overlapped.object8, 3.0);  // group 1's pre-edit reader: 1.5 * 2
+  EXPECT_DOUBLE_EQ(overlapped.object9, 5.0);  // group 2's appended task: 4.0 + 1
+
+  // Group 1 logged its two pre-edit commands; group 2 the dead slot and the new task.
+  ASSERT_EQ(overlapped.log.size(), 5u);
+  EXPECT_EQ(overlapped.log[0].type, CommandType::kCopyReceive);
+  EXPECT_EQ(overlapped.log[0].copy_id, MakeCopyId(1, 0));
+  EXPECT_EQ(overlapped.log[1].id, CommandId(101));
+  EXPECT_EQ(overlapped.log[1].type, CommandType::kTask);
+  EXPECT_EQ(overlapped.log[1].task_id, TaskId(100));
+  EXPECT_EQ(overlapped.log[2].copy_id, MakeCopyId(2, 0));
+  EXPECT_EQ(overlapped.log[3].type, CommandType::kDataCreate);  // tombstone
+  EXPECT_EQ(overlapped.log[4].id, CommandId(202));
+  EXPECT_EQ(overlapped.log[4].task_id, TaskId(201));
+
+  // The same commands and results as when the first group finished before the edits.
+  EXPECT_EQ(overlapped.order, sequential.order);
+  EXPECT_EQ(overlapped.completed, sequential.completed);
+  EXPECT_EQ(overlapped.object8, sequential.object8);
+  EXPECT_EQ(overlapped.object9, sequential.object9);
+  ASSERT_EQ(overlapped.log.size(), sequential.log.size());
+  for (std::size_t i = 0; i < overlapped.log.size(); ++i) {
+    EXPECT_EQ(overlapped.log[i], sequential.log[i]) << "command " << i;
+  }
+}
+
+// A group whose last row completes synchronously (here a copy send) retires inside the
+// completion walk of the row before it. When edits replaced the cached table while the
+// group was blocked, that retirement drops the table's last holder mid-walk; the walk must
+// not read the table again (under AddressSanitizer, a walk that re-reads its bounds after
+// the release fails here).
+TEST(WorkerTest, GroupRetiringInsideItsWaiterWalkOnAReplacedTable) {
+  Harness h(2);
+  std::vector<std::string> order;
+  const FunctionId reader = h.functions.Register("reader", [&order](TaskContext& ctx) {
+    order.push_back("reader");
+    ctx.WriteScalar(0).set_value(ctx.ReadScalar(0) * 2);
+  });
+  const FunctionId extra = h.functions.Register("extra", [&order](TaskContext& ctx) {
+    order.push_back("extra");
+    ctx.WriteScalar(0).set_value(ctx.ReadScalar(0) + 1);
+  });
+  core::WorkerHalf half = ReceiveThenTaskHalf(reader);
+  core::WtEntry send;
+  send.type = CommandType::kCopySend;
+  send.copy_index = 1;
+  send.peer = WorkerId(1);
+  send.object = LogicalObjectId(8);
+  send.bytes = 8;
+  send.reads = {LogicalObjectId(8)};
+  send.before = {1};
+  half.entries.push_back(send);
+  h.w(0).EnableCommandLog();
+  h.w(0).OnInstallTemplate(half, WorkerTemplateId(1));
+
+  std::vector<core::WorkerEditOp> edits(1);
+  edits[0].kind = core::WorkerEditOp::Kind::kAppendEntry;
+  edits[0].entry.type = CommandType::kTask;
+  edits[0].entry.function = extra;
+  edits[0].entry.global_entry = 1;
+  edits[0].entry.reads = {LogicalObjectId(7)};
+  edits[0].entry.writes = {LogicalObjectId(9)};
+  edits[0].entry.before = {0};
+  edits[0].entry.duration = sim::Millis(1);
+  auto deliver = [&h](std::uint64_t seq, double value) {
+    h.w(0).OnDataMessage(MakeCopyId(seq, 0), LogicalObjectId(7), 1,
+                         std::make_unique<ScalarPayload>(value));
+    h.simulation.Run();
+  };
+  auto scalar = [&h](LogicalObjectId object) {
+    return dynamic_cast<const ScalarPayload*>(h.w(0).store().Get(object))->value();
+  };
+
+  h.w(0).OnInstantiate(InstantiateTemplateOne(1));
+  h.simulation.Run();  // group 1 blocked on its receive
+  h.w(0).OnInstantiate(InstantiateTemplateOne(2, edits));
+  h.simulation.Run();  // group 2 runs the edited table, blocked on its receive too
+  EXPECT_TRUE(h.completions.empty());
+
+  deliver(1, 1.5);  // reader -> send: group 1 retires while the reader's walk is open
+  EXPECT_EQ(order, (std::vector<std::string>{"reader"}));
+  ASSERT_EQ(h.completions.size(), 1u);
+  EXPECT_EQ(h.completions[0].second, 1u);
+  EXPECT_DOUBLE_EQ(scalar(LogicalObjectId(8)), 3.0);
+
+  deliver(2, 4.0);
+  EXPECT_EQ(order, (std::vector<std::string>{"reader", "reader", "extra"}));
+  ASSERT_EQ(h.completions.size(), 2u);
+  EXPECT_EQ(h.completions[1].second, 2u);
+  EXPECT_DOUBLE_EQ(scalar(LogicalObjectId(8)), 8.0);
+  EXPECT_DOUBLE_EQ(scalar(LogicalObjectId(9)), 5.0);
+
+  // Group 1 ran its three pre-edit commands, group 2 those three and the appended task.
+  const std::vector<Command>& log = h.w(0).command_log();
+  ASSERT_EQ(log.size(), 7u);
+  EXPECT_EQ(log[2].type, CommandType::kCopySend);
+  EXPECT_EQ(log[2].copy_id, MakeCopyId(1, 1));
+  EXPECT_EQ(log[5].copy_id, MakeCopyId(2, 1));
+  EXPECT_EQ(log[6].type, CommandType::kTask);
+  EXPECT_EQ(log[6].task_id, TaskId(201));
+}
+
+// An instantiation still queued behind its control-thread charge when the next one's
+// edits arrive materializes the table as it stood at its own arrival.
+TEST(WorkerTest, EditsDoNotReachAQueuedInstantiation) {
+  Harness h(1);
+  std::vector<std::string> order;
+  const FunctionId a = h.functions.Register("a", [&](TaskContext&) { order.push_back("a"); });
+  const FunctionId b = h.functions.Register("b", [&](TaskContext&) { order.push_back("b"); });
+  core::WorkerHalf half;
+  half.worker = WorkerId(0);
+  core::WtEntry task;
+  task.type = CommandType::kTask;
+  task.function = a;
+  task.global_entry = 0;
+  task.duration = sim::Millis(1);
+  half.entries.push_back(task);
+  h.w(0).OnInstallTemplate(half, WorkerTemplateId(1));
+
+  std::vector<core::WorkerEditOp> edits(1);
+  edits[0].kind = core::WorkerEditOp::Kind::kAppendEntry;
+  edits[0].entry = task;
+  edits[0].entry.function = b;
+  edits[0].entry.global_entry = 1;
+  h.w(0).OnInstantiate(InstantiateTemplateOne(1));
+  h.w(0).OnInstantiate(InstantiateTemplateOne(2, edits));  // no Run in between
+  h.simulation.Run();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "a", "b"}));
+  EXPECT_EQ(h.completions.size(), 2u);
+}
+
+// The table is compiled once per install or edit batch, an edit batch interns only the
+// slots it touched, and a retired group's state is reused by the next instantiation.
+TEST(WorkerTest, TableCompiledOncePerInstallOrEditBatchAndStateReused) {
+  Harness h(1);
+  int runs = 0;
+  const FunctionId f = h.functions.Register("fn", [&](TaskContext& ctx) {
+    ++runs;
+    ctx.WriteScalar(0).set_value(runs);
+  });
+  core::WorkerHalf half;
+  half.worker = WorkerId(0);
+  core::WtEntry entry;
+  entry.type = CommandType::kTask;
+  entry.function = f;
+  entry.global_entry = 0;
+  entry.writes = {LogicalObjectId(1)};
+  entry.duration = sim::Millis(1);
+  half.entries.push_back(entry);
+
+  const MaterializeCounters& mc = h.w(0).materialize_counters();
+  h.w(0).OnInstallTemplate(half, WorkerTemplateId(1));
+  EXPECT_EQ(mc.table_compiles, 1u);
+  EXPECT_EQ(mc.dense_resolves, 1u);
+
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    h.w(0).OnInstantiate(InstantiateTemplateOne(seq));
+    h.simulation.Run();
+  }
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(mc.groups, 3u);
+  EXPECT_EQ(mc.table_compiles, 1u);
+  EXPECT_EQ(mc.dense_resolves, 1u);
+  EXPECT_EQ(mc.state_reuses, 2u);  // every instantiation after the first
+
+  std::vector<core::WorkerEditOp> edits(1);
+  edits[0].kind = core::WorkerEditOp::Kind::kAppendEntry;
+  edits[0].entry = entry;
+  edits[0].entry.global_entry = 1;
+  edits[0].entry.writes = {LogicalObjectId(2)};
+  h.w(0).OnInstantiate(InstantiateTemplateOne(4, edits));
+  h.simulation.Run();
+  h.w(0).OnInstantiate(InstantiateTemplateOne(5));
+  h.simulation.Run();
+  EXPECT_EQ(runs, 7);
+  EXPECT_EQ(mc.table_compiles, 2u);
+  EXPECT_EQ(mc.dense_resolves, 2u);  // only the appended entry
+  EXPECT_EQ(mc.state_reuses, 4u);
+  EXPECT_EQ(h.completions.size(), 5u);
 }
 
 TEST(WorkerTest, FailedWorkerIgnoresAllInput) {
