@@ -10,6 +10,14 @@ namespace nimbus {
 namespace {
 // Controller phases all live on track 0 of the controller trace lane (DESIGN.md §12.3).
 constexpr std::uint32_t kControlTrack = 0;
+
+// Decodes one driver request under a `decode_request` span: a serialized-dispatch block's
+// stage list takes the controller milliseconds to decode before its first dispatch span.
+template <typename Envelope>
+Envelope DecodeRequest(Envelope (*decode)(const ParameterBlob&), const ParameterBlob& bytes) {
+  NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "decode_request");
+  return decode(bytes);
+}
 }  // namespace
 
 NimbusController::NimbusController(sim::Simulation* simulation, net::Transport* transport,
@@ -39,12 +47,13 @@ void NimbusController::OnEnvelope(net::NodeAddress src, MessageKind kind,
       break;
     }
     case wire::EnvelopeType::kGroupComplete: {
+      NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "group_complete");
       wire::GroupCompleteEnvelope e = wire::DecodeGroupCompleteEnvelope(bytes);
       OnGroupComplete(e.worker, e.group_seq, std::move(e.scalars));
       break;
     }
     case wire::EnvelopeType::kSubmitStages: {
-      wire::SubmitStagesEnvelope e = wire::DecodeSubmitStagesEnvelope(bytes);
+      wire::SubmitStagesEnvelope e = DecodeRequest(wire::DecodeSubmitStagesEnvelope, bytes);
       const std::uint64_t request_id = e.request_id;
       BlockDone done = [this, request_id](std::vector<ScalarResult> scalars) {
         SendBlockDone(request_id, std::move(scalars));
@@ -59,7 +68,8 @@ void NimbusController::OnEnvelope(net::NodeAddress src, MessageKind kind,
       break;
     }
     case wire::EnvelopeType::kInstantiateRequest: {
-      wire::InstantiateRequestEnvelope e = wire::DecodeInstantiateRequestEnvelope(bytes);
+      wire::InstantiateRequestEnvelope e =
+          DecodeRequest(wire::DecodeInstantiateRequestEnvelope, bytes);
       const std::uint64_t request_id = e.request_id;
       InstantiateTemplate(
           e.name, std::move(e.params),
@@ -70,7 +80,8 @@ void NimbusController::OnEnvelope(net::NodeAddress src, MessageKind kind,
       break;
     }
     case wire::EnvelopeType::kCheckpointRequest: {
-      wire::CheckpointRequestEnvelope e = wire::DecodeCheckpointRequestEnvelope(bytes);
+      wire::CheckpointRequestEnvelope e =
+          DecodeRequest(wire::DecodeCheckpointRequestEnvelope, bytes);
       const std::uint64_t request_id = e.request_id;
       TriggerCheckpoint(e.marker, [this, request_id]() {
         transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::Driver(),

@@ -1,17 +1,27 @@
 // Deterministic discrete-event simulation engine.
 //
-// A Simulation owns a priority queue of timed callbacks. Events scheduled for the same
-// virtual time fire in insertion order (a monotonic sequence number breaks ties), which makes
-// every run bit-reproducible. The engine is single-threaded by design: the paper's claims are
-// about message counts and per-operation costs, both of which are modeled explicitly, so
-// wall-clock parallelism would only add nondeterminism.
+// A Simulation owns a queue of timed callbacks. Every event carries its virtual time `when`
+// and a monotonic sequence number `seq` assigned when it is scheduled; events fire in
+// ascending (when, seq) order, so events scheduled for the same virtual time fire in
+// insertion order and every run is bit-reproducible. The engine is single-threaded by
+// design: the paper's claims are about message counts and per-operation costs, both of which
+// are modeled explicitly, so wall-clock parallelism would only add nondeterminism.
+//
+// The queue is two structures under that one contract (DESIGN.md §13.4). An event whose
+// (when, seq) is at or after the back of an ordered FIFO ring is appended to the ring, in
+// O(1); every other event goes to a binary heap. A pop takes the smaller of the two fronts.
+// Since `seq` only grows, an event lands in the ring exactly when its time is no earlier
+// than the ring's last one, which is the common case: a core pool hands a block's ready
+// tasks non-decreasing completion times, so the thousands of task events a worker queues
+// per block never touch the heap. The ring reuses its slots, so a queue that never runs
+// dry holds no more storage than its peak of live events.
 
 #ifndef NIMBUS_SRC_SIM_SIMULATION_H_
 #define NIMBUS_SRC_SIM_SIMULATION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -34,7 +44,7 @@ class Simulation {
     if (when < now_) {
       when = now_;
     }
-    queue_.push(Event{when, next_seq_++, std::move(fn)});
+    Push(Event{when, next_seq_++, std::move(fn)});
   }
 
   // Schedules `fn` to run `delay` after the current virtual time.
@@ -53,30 +63,48 @@ class Simulation {
   // Returns true if the predicate was satisfied.
   bool RunUntilCondition(const std::function<bool()>& predicate);
 
-  std::size_t pending_events() const { return queue_.size(); }
+  std::size_t pending_events() const { return ring_size_ + heap_.size(); }
   std::uint64_t executed_events() const { return executed_; }
 
   static constexpr TimePoint kForever = INT64_MAX;
 
  private:
   struct Event {
-    TimePoint when;
-    std::uint64_t seq;
+    TimePoint when = 0;
+    std::uint64_t seq = 0;
     Callback fn;
-
-    // std::priority_queue is a max-heap; invert so the earliest event pops first.
-    bool operator<(const Event& other) const {
-      if (when != other.when) {
-        return when > other.when;
-      }
-      return seq > other.seq;
-    }
   };
+
+  static bool Earlier(const Event& a, const Event& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+
+  // Heap order for std::push_heap/pop_heap, which keep the *largest* element on top:
+  // invert so the earliest event is the front.
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const { return Earlier(b, a); }
+  };
+
+  void Push(Event event);
+  // The earliest pending event; the queue must not be empty.
+  const Event& Front() const;
+  bool RingIsFront() const;
+  // Pops the earliest event, advances the clock to it and runs it.
+  void FireNext();
+
+  Event& RingSlot(std::size_t i) { return ring_[(ring_head_ + i) & (ring_.size() - 1)]; }
+  const Event& RingSlot(std::size_t i) const {
+    return ring_[(ring_head_ + i) & (ring_.size() - 1)];
+  }
 
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event> queue_;
+  // The ordered FIFO: a ring (power-of-two capacity) of events in ascending (when, seq).
+  std::vector<Event> ring_;
+  std::size_t ring_head_ = 0;
+  std::size_t ring_size_ = 0;
+  std::vector<Event> heap_;  // every event that arrived behind the ring's back
 };
 
 // Models a serial execution resource (e.g. the controller's control-plane thread, a NIC

@@ -617,14 +617,13 @@ void Worker::AddCommandToGroup(Group& group, const Command& cmd) {
 
   std::int32_t remaining = 0;
   for (CommandId b : cmd.before) {
-    if (s.done_ids.count(b) > 0) {
-      continue;  // dependency already completed
-    }
     auto it = s.index_of.find(b);
-    if (it != s.index_of.end() && it->second != index) {
-      add_waiter(it->second, index);
-    } else {
+    if (it == s.index_of.end() || it->second == index) {
       s.pending_edges[b].push_back(index);  // dependency not yet arrived (streaming)
+    } else if ((st.flags[static_cast<std::size_t>(it->second)] & GroupState::kDone) != 0) {
+      continue;  // dependency already completed
+    } else {
+      add_waiter(it->second, index);
     }
     ++remaining;
   }
@@ -957,8 +956,7 @@ void Worker::CompleteCommand(std::uint64_t group_seq, std::int32_t index) {
   // of the group after the last one. While the group lives its lists cannot change: rows
   // are appended only by message handlers, never inside a cascade.
   if (group->streaming != nullptr) {
-    StreamingState& s = *group->streaming;
-    s.done_ids.insert(s.commands[i]->id);  // late edges may still reference this id
+    const StreamingState& s = *group->streaming;
     for (std::int32_t link = s.first_waiter[i]; link >= 0;) {
       const StreamingState::WaiterLink w = s.links[static_cast<std::size_t>(link)];
       if (!ReleaseWaiter(group_seq, w.row)) {

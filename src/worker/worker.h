@@ -17,7 +17,7 @@
 // does no hashing and, in steady state, no allocation. Copy routing is arithmetic on the
 // structured copy id (command.h): the embedded group sequence finds the group, the
 // embedded copy index addresses a per-group slot array. The id-keyed tables
-// (`index_of`, `pending_edges`, `done_ids`) exist only for streaming command arrival — the
+// (`index_of`, `pending_edges`) exist only for streaming command arrival — the
 // central-dispatch slow path.
 
 #ifndef NIMBUS_SRC_WORKER_WORKER_H_
@@ -28,7 +28,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -223,10 +222,10 @@ class Worker {
     std::vector<std::int32_t> first_waiter;  // by row
     std::vector<std::int32_t> last_waiter;   // by row
     std::vector<WaiterLink> links;
+    // Row of each arrived command; a before-id is done once its row's flags hold kDone.
     std::unordered_map<CommandId, std::int32_t> index_of;
     // before-ids referenced before their command arrived.
     std::unordered_map<CommandId, std::vector<std::int32_t>> pending_edges;
-    std::unordered_set<CommandId> done_ids;
   };
 
   struct Group {
